@@ -37,7 +37,6 @@ from .scheme import (
 from .series import TruncatedSeries
 from .polynomials import MultivariatePolynomial, resultant
 from .bivariate import BivariatePolynomial
-from .linalg import solve_linear_system
 from .elimination import (
     compress_exponents,
     eliminate,
@@ -72,7 +71,6 @@ __all__ = [
     "MultivariatePolynomial",
     "BivariatePolynomial",
     "resultant",
-    "solve_linear_system",
     "eliminate",
     "compress_exponents",
     "verify_annihilation",

@@ -36,7 +36,7 @@ def payload_hash(payload):
 
 @dataclass
 class CacheEntry:
-    kind: str  # sequence | scheme | equation | recurrence | report
+    kind: str  # sequence | equation | report
     r: int
     parameters: dict
     payload: dict

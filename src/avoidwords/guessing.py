@@ -1,30 +1,26 @@
 """Guess linear recurrences with polynomial coefficients, and verify them.
 
 The searcher walks candidate (order, degree) pairs by increasing total, sets
-up the exact homogeneous linear system satisfied by the unknown coefficient
+up the homogeneous linear system satisfied by the unknown coefficient
 polynomials, and keeps a kernel vector only when it also annihilates terms
-that were held out of the fit. Small systems are solved directly over the
-rationals; large ones are pre-screened modulo word-sized primes (numpy row
-reduction) and reconstructed exactly via CRT plus rational reconstruction --
-either way the returned recurrence has passed an exact check on every
-available term.
+that were held out of the fit. Algebraic equations are guessed the same way
+from series coefficients. Both build their systems modulo primes and take
+kernel candidates from ``linalg.integer_kernel``; a candidate is accepted only
+after an exact check on every available term or coefficient.
 
 A recurrence is never more than empirically verified: it is checked on all
 supplied terms, not proved.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, isqrt
 
 import numpy as np
 
-from .linalg import solve_linear_system
+from .linalg import integer_kernel
 from .scheme import CountSequence
 from .bivariate import BivariatePolynomial
 from .series import TruncatedSeries, evaluate_bivariate
 
-EXACT_KERNEL_LIMIT = 42  # unknowns; beyond this the modular path takes over
 DEFAULT_MARGIN = 10
 
 
@@ -77,27 +73,14 @@ class LinearRecurrence:
         return max(len(p) - 1 for p in self.coeffs)
 
     @classmethod
-    def from_rational_vector(cls, vec, order, degree):
-        """Canonicalize a kernel vector laid out as (k, j) -> vec[k*(degree+1)+j]."""
-        fracs = [Fraction(v) for v in vec]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        ints = [int(f * den) for f in fracs]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g == 0:
-            return None
-        ints = [v // g for v in ints]
+    def from_kernel_vector(cls, vec, order, degree):
+        """Canonicalize a primitive integer vector laid out as (k, j) -> vec[k*(degree+1)+j]."""
         polys = [
-            _poly_trim(ints[k * (degree + 1): (k + 1) * (degree + 1)])
+            _poly_trim(vec[k * (degree + 1): (k + 1) * (degree + 1)])
             for k in range(order + 1)
         ]
         while len(polys) > 1 and polys[-1] == (0,):
             polys.pop()
-        if polys[-1] == (0,):
-            return None
         if polys[-1][-1] < 0:
             polys = [tuple(-c for c in p) for p in polys]
         return cls(tuple(polys))
@@ -218,15 +201,9 @@ def _try_candidate(terms, order, degree, margin):
     rows, width = _fit_rows(terms, order, degree, margin)
     if rows is None:
         return None
-    if width <= EXACT_KERNEL_LIMIT:
-        vectors = _exact_kernel(terms, order, degree, rows)
-    else:
-        vectors = _modular_kernel(terms, order, degree, rows)
     candidates = []
-    for vec in vectors:
-        rec = LinearRecurrence.from_rational_vector(vec, order, degree)
-        if rec is None:
-            continue
+    for vec in integer_kernel(lambda p: _recurrence_matrix(terms, order, degree, rows, p)):
+        rec = LinearRecurrence.from_kernel_vector(vec, order, degree)
         if rec.order != order:
             continue  # a lower-order recurrence would have been found earlier
         candidates.append(rec)
@@ -237,170 +214,15 @@ def _try_candidate(terms, order, degree, margin):
     return None
 
 
-def _row(terms, n, order, degree):
-    powers = [1]
-    for _ in range(degree):
-        powers.append(powers[-1] * n)
-    return [powers[j] * terms[n + k] for k in range(order + 1) for j in range(degree + 1)]
-
-
-def _exact_kernel(terms, order, degree, rows):
-    matrix = [_row(terms, n, order, degree) for n in range(rows)]
-    return solve_linear_system(matrix).kernel
-
-
-# ---------------- modular pre-screen + CRT reconstruction ----------------
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _primes_below_2_31(count):
-    out = []
-    p = 2**31 - 1
-    while len(out) < count:
-        if _is_prime(p):
-            out.append(p)
-        p -= 2
-    return out
-
-
-def _mod_rref_kernel(matrix_mod, p):
-    """Kernel basis of the matrix over GF(p), columns in natural order.
-
-    Returns (pivot_cols, basis) where basis vectors are integer lists mod p.
-    """
-    A = np.array(matrix_mod, dtype=np.int64)
-    rows, cols = A.shape
-    pivot_cols = []
-    r = 0
-    for c in range(cols):
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        A[r] = (A[r] * inv) % p
-        f = A[:, c].copy()
-        f[r] = 0
-        A = (A - f[:, None] * A[r][None, :]) % p
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(cols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        v = [0] * cols
-        v[fc] = 1
-        for k, pc in enumerate(pivot_cols):
-            v[pc] = int((-A[k, fc]) % p)
-        basis.append(v)
-    return pivot_cols, basis
-
-
-def _rational_reconstruct(c, m):
-    """(a, b) with a/b == c mod m and |a|, b <= sqrt(m/2), or None."""
-    bound = isqrt(m // 2)
-    r0, r1 = m, c % m
-    s0, s1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if abs(s1) > bound or s1 == 0:
-        return None
-    if gcd(r1, abs(s1)) != 1:
-        return None
-    return (r1, s1) if s1 > 0 else (-r1, -s1)
-
-
-def _modular_kernel(terms, order, degree, rows, max_primes=64):
-    """Kernel candidates via per-prime screening and CRT reconstruction.
-
-    Exactness does not rest on this: every reconstructed vector is verified
-    exactly by the caller before acceptance.
-    """
-    primes = _primes_below_2_31(max_primes)
-    p0 = primes[0]
-    matrix0 = _build_mod_matrix(terms, order, degree, rows, p0)
-    pivots0, basis0 = _mod_rref_kernel(matrix0, p0)
-    if not basis0:
-        return []
-    dim = len(basis0)
-    residues = [[int(x) for x in v] for v in basis0]
-    modulus = p0
-    for p in primes[1:]:
-        matrix = _build_mod_matrix(terms, order, degree, rows, p)
-        pivots, basis = _mod_rref_kernel(matrix, p)
-        if pivots != pivots0 or len(basis) != dim:
-            continue  # unlucky prime
-        new_residues = []
-        for v_old, v_new in zip(residues, basis):
-            merged = [_crt(a, modulus, b, p) for a, b in zip(v_old, v_new)]
-            new_residues.append(merged)
-        residues = new_residues
-        modulus *= p
-        vectors = _attempt_reconstruction(residues, modulus)
-        if vectors is not None:
-            return vectors
-    return []
-
-
-def _build_mod_matrix(terms, order, degree, rows, p):
-    tmod = [t % p for t in terms[: rows + order]]
-    out = []
-    for n in range(rows):
-        powers = [1]
-        for _ in range(degree):
-            powers.append(powers[-1] * n % p)
-        out.append(
-            [powers[j] * tmod[n + k] % p for k in range(order + 1) for j in range(degree + 1)]
-        )
-    return out
-
-
-def _crt(a, m, b, p):
-    # combine x = a mod m, x = b mod p
-    diff = (b - a) % p
-    inv = pow(m % p, p - 2, p)
-    return (a + m * (diff * inv % p)) % (m * p)
-
-
-def _attempt_reconstruction(residues, modulus):
-    vectors = []
-    for v in residues:
-        fracs = []
-        for c in v:
-            rc = _rational_reconstruct(c, modulus)
-            if rc is None:
-                return None
-            fracs.append(Fraction(rc[0], rc[1]))
-        vectors.append(fracs)
-    return vectors
+def _recurrence_matrix(terms, order, degree, rows, p):
+    """Row n holds n^j * w(n+k) mod p at column k*(degree+1)+j."""
+    tmod = np.array([t % p for t in terms[: rows + order]], dtype=np.int64)
+    shifted = np.stack([tmod[k: k + rows] for k in range(order + 1)], axis=1)
+    powers = np.ones((rows, degree + 1), dtype=np.int64)
+    n = np.arange(rows, dtype=np.int64)
+    for j in range(1, degree + 1):
+        powers[:, j] = powers[:, j - 1] * n % p
+    return (shifted[:, :, None] * powers[:, None, :] % p).reshape(rows, -1)
 
 
 # ---------------- direct algebraic-equation guessing ----------------
@@ -408,9 +230,9 @@ def _attempt_reconstruction(residues, modulus):
 def guess_algebraic(series, max_deg_x, max_deg_f, margin=DEFAULT_MARGIN):
     """Smallest bivariate P with P(x, f) = 0 mod the cutoff, or None.
 
-    Cross-check of the elimination route: works straight from series
-    coefficients via an exact kernel, holdout-checked on the final `margin`
-    coefficients.
+    Cross-check of the elimination route: works straight from the series'
+    integer coefficients, holdout-checked on the final `margin` coefficients
+    and then checked exactly up to the cutoff.
     """
     need = (max_deg_x + 1) * (max_deg_f + 1) + margin
     if series.cutoff < need:
@@ -420,37 +242,33 @@ def guess_algebraic(series, max_deg_x, max_deg_f, margin=DEFAULT_MARGIN):
     powers = [TruncatedSeries.one(series.cutoff)]
     for _ in range(max_deg_f):
         powers.append(powers[-1] * series)
-    powers = [p.coeffs for p in powers]
+    residues = {}
+
+    def powers_mod(p):
+        if p not in residues:
+            residues[p] = np.array([[c % p for c in s.coeffs] for s in powers], dtype=np.int64)
+        return residues[p]
+
     for total in range(0, max_deg_x + max_deg_f + 1):
         for df in range(0, min(total, max_deg_f) + 1):
             dx = total - df
             if dx > max_deg_x:
                 continue
-            poly = _try_algebraic(series, powers, dx, df, margin)
+            poly = _try_algebraic(series, powers_mod, dx, df, margin)
             if poly is not None:
                 return poly
     return None
 
 
-def _try_algebraic(series, powers, dx, df, margin):
+def _try_algebraic(series, powers_mod, dx, df, margin):
     width = (dx + 1) * (df + 1)
     rows = min(width + 4, series.cutoff - margin)
     if rows < width - 1:
         return None
-    matrix = []
-    for i in range(rows):
-        row = []
-        for b in range(df + 1):
-            pb = powers[b]
-            for a in range(dx + 1):
-                row.append(pb[i - a] if i >= a else 0)
-        matrix.append(row)
-    kernel = solve_linear_system(matrix).kernel
     candidates = []
-    for vec in kernel:
-        poly = _vector_to_bivariate(vec, dx, df)
-        if poly is not None:
-            candidates.append(poly)
+    for vec in integer_kernel(lambda p: _algebraic_matrix(powers_mod(p), dx, df, rows)):
+        terms = {(i % (dx + 1), i // (dx + 1)): c for i, c in enumerate(vec) if c}
+        candidates.append(BivariatePolynomial(terms).canonical())
     candidates.sort(key=lambda p: sum(abs(c).bit_length() for c in p.terms.values()))
     for poly in candidates:
         if evaluate_bivariate(poly, series).is_zero():
@@ -458,19 +276,9 @@ def _try_algebraic(series, powers, dx, df, margin):
     return None
 
 
-def _vector_to_bivariate(vec, dx, df):
-    fracs = [Fraction(v) for v in vec]
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(f * den) for f in fracs]
-    terms = {}
-    idx = 0
-    for b in range(df + 1):
-        for a in range(dx + 1):
-            if ints[idx]:
-                terms[(a, b)] = ints[idx]
-            idx += 1
-    if not terms:
-        return None
-    return BivariatePolynomial(terms).canonical()
+def _algebraic_matrix(powers, dx, df, rows):
+    """Row i holds [x^i] x^a F^b mod p at column b*(dx+1)+a."""
+    out = np.zeros((rows, df + 1, dx + 1), dtype=np.int64)
+    for a in range(dx + 1):
+        out[a:, :, a] = powers[: df + 1, : rows - a].T
+    return out.reshape(rows, -1)

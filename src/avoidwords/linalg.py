@@ -1,143 +1,176 @@
-"""Exact linear algebra over the rationals.
+"""Integer kernels by modular elimination and CRT reconstruction.
 
-Gaussian elimination with full pivoting, where the pivot is chosen to
-minimize the bit size of numerator and denominator -- the systems produced by
-recurrence guessing are exact and large, and pivot choice is what keeps the
-intermediate fractions in check.
+Both guessers look for integer vectors in the kernel of an integer matrix.
+``integer_kernel(build)`` finds them without rational arithmetic: the caller
+supplies the matrix reduced modulo a word-sized prime, each reduction is
+row-reduced over GF(p) with numpy, and the reduced kernel bases of agreeing
+primes are combined by CRT until rational reconstruction succeeds and one
+further prime confirms it.
+
+A prime can be unlucky: it divides a minor, so its rank is lower or its
+pivots lie further right than over the rationals. Neither can go the other
+way, so the reduction with the highest rank and then the leftmost pivots
+wins; a better prime restarts the combination, and a worse one is skipped.
+
+The vectors returned are candidates, not proofs: callers accept one only
+after an exact check of their own.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
+from math import gcd, isqrt, lcm
+
+import numpy as np
+
+MAX_PRIMES = 64
 
 
-class InconsistentSystemError(ArithmeticError):
-    """The linear system has no solution."""
+def _is_prime(n):
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
-@dataclass
-class LinearSolveResult:
-    status: str            # "solution" | "kernel" | "inconsistent"
-    solution: list | None  # particular solution (inhomogeneous, consistent)
-    kernel: list           # basis of the homogeneous solution space
+@cache
+def _primes():
+    """The MAX_PRIMES largest primes below 2^31, largest first; found once per process."""
+    out = []
+    p = 2**31 - 1
+    while len(out) < MAX_PRIMES:
+        if _is_prime(p):
+            out.append(p)
+        p -= 2
+    return tuple(out)
 
 
-def _pivot_size(f):
-    return f.numerator.bit_length() + f.denominator.bit_length()
+def _mod_rref_kernel(matrix_mod, p):
+    """Kernel basis of the matrix over GF(p), columns in natural order.
 
-
-def _eliminate(M, rhs):
-    """Row-reduce in place with full pivoting.
-
-    Returns (pivots, col_of_row) where pivots maps column -> pivot row.
+    Returns (pivot_cols, basis) where basis vectors are integer lists mod p.
     """
-    if not M:
-        return {}
-    nrows = len(M)
-    ncols = len(M[0])
-    col_perm = list(range(ncols))
-    pivots = []  # (row, permuted col position)
+    A = np.array(matrix_mod, dtype=np.int64)
+    rows, cols = A.shape
+    pivot_cols = []
     r = 0
-    for step in range(min(nrows, ncols)):
-        best = None
-        best_size = None
-        for i in range(r, nrows):
-            row = M[i]
-            for jp in range(step, ncols):
-                v = row[col_perm[jp]]
-                if v:
-                    s = _pivot_size(v)
-                    if best_size is None or s < best_size:
-                        best, best_size = (i, jp), s
-        if best is None:
-            break
-        i, jp = best
-        M[r], M[i] = M[i], M[r]
-        if rhs is not None:
-            rhs[r], rhs[i] = rhs[i], rhs[r]
-        col_perm[step], col_perm[jp] = col_perm[jp], col_perm[step]
-        j = col_perm[step]
-        piv = M[r][j]
-        for i2 in range(nrows):
-            if i2 == r:
-                continue
-            f = M[i2][j]
-            if f:
-                ratio = f / piv
-                row2 = M[i2]
-                rowp = M[r]
-                for jj in range(ncols):
-                    if rowp[jj]:
-                        row2[jj] = row2[jj] - ratio * rowp[jj]
-                if rhs is not None:
-                    rhs[i2] = rhs[i2] - ratio * rhs[r]
-        pivots.append((r, step))
+    for c in range(cols):
+        nz = np.nonzero(A[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            A[[r, i]] = A[[i, r]]
+        inv = pow(int(A[r, c]), p - 2, p)
+        A[r] = (A[r] * inv) % p
+        f = A[:, c].copy()
+        f[r] = 0
+        A = (A - f[:, None] * A[r][None, :]) % p
+        pivot_cols.append(c)
         r += 1
-    return {"rank": r, "pivots": pivots, "col_perm": col_perm}
-
-
-def solve_linear_system(matrix, rhs=None):
-    """Solve M*v = rhs exactly.
-
-    With rhs (inhomogeneous): returns status "solution" with a particular
-    solution plus a kernel basis, or "inconsistent". Without rhs
-    (homogeneous): returns status "kernel" with a kernel basis (empty list
-    means the kernel is zero -- distinct from inconsistency, which cannot
-    occur for homogeneous systems).
-
-    Every returned solution is re-multiplied through the original matrix and
-    checked exactly before returning.
-    """
-    M_orig = [[Fraction(v) for v in row] for row in matrix]
-    if not M_orig:
-        if rhs:
-            raise ValueError("rhs given for empty matrix")
-        return LinearSolveResult("kernel", None, [])
-    ncols = len(M_orig[0])
-    homogeneous = rhs is None
-    b = None if homogeneous else [Fraction(v) for v in rhs]
-    M = [row[:] for row in M_orig]
-    info = _eliminate(M, b)
-    rank = info["rank"]
-    col_perm = info["col_perm"]
-    nrows = len(M)
-
-    if not homogeneous:
-        for i in range(rank, nrows):
-            if b[i] != 0:
-                return LinearSolveResult("inconsistent", None, [])
-
-    pivot_cols = [col_perm[k] for k in range(rank)]
-    free_cols = [col_perm[k] for k in range(rank, ncols)]
-
-    kernel = []
+        if r == rows:
+            break
+    pivot_set = set(pivot_cols)
+    free_cols = [c for c in range(cols) if c not in pivot_set]
+    basis = []
     for fc in free_cols:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for k in range(rank):
-            pc = pivot_cols[k]
-            v[pc] = -M[k][fc] / M[k][pc]
-        kernel.append(v)
-
-    for v in kernel:
-        for row in M_orig:
-            s = sum(rv * vv for rv, vv in zip(row, v) if rv and vv)
-            if s != 0:
-                raise ArithmeticError("internal check failed: kernel vector does not annihilate")
-
-    if homogeneous:
-        return LinearSolveResult("kernel", None, kernel)
-
-    sol = [Fraction(0)] * ncols
-    for k in range(rank):
-        pc = pivot_cols[k]
-        sol[pc] = b[k] / M[k][pc]
-    for row, bv in zip(M_orig, [Fraction(v) for v in rhs]):
-        s = sum(rv * vv for rv, vv in zip(row, sol) if rv and vv)
-        if s != bv:
-            raise ArithmeticError("internal check failed: M*solution != rhs")
-    return LinearSolveResult("solution", sol, kernel)
+        v = [0] * cols
+        v[fc] = 1
+        for k, pc in enumerate(pivot_cols):
+            v[pc] = int((-A[k, fc]) % p)
+        basis.append(v)
+    return pivot_cols, basis
 
 
-def kernel_basis(matrix):
-    """Basis of the exact null space of the matrix."""
-    return solve_linear_system(matrix).kernel
+def _rational_reconstruct(c, m):
+    """(a, b) with a/b == c mod m and |a|, b <= sqrt(m/2), or None."""
+    bound = isqrt(m // 2)
+    r0, r1 = m, c % m
+    s0, s1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound or s1 == 0:
+        return None
+    if gcd(r1, abs(s1)) != 1:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _crt(a, m, b, p):
+    # combine x = a mod m, x = b mod p
+    diff = (b - a) % p
+    inv = pow(m % p, p - 2, p)
+    return (a + m * (diff * inv % p)) % (m * p)
+
+
+def _reconstruct(residues, modulus):
+    """Vectors of (numerator, denominator) pairs with these residues, or None."""
+    vectors = []
+    for v in residues:
+        fracs = []
+        for c in v:
+            rc = _rational_reconstruct(c, modulus)
+            if rc is None:
+                return None
+            fracs.append(rc)
+        vectors.append(fracs)
+    return vectors
+
+
+def _agrees(vectors, basis, p):
+    for fracs, v in zip(vectors, basis):
+        for (a, b), c in zip(fracs, v):
+            if b % p == 0 or (a - c * b) % p:
+                return False
+    return True
+
+
+def _primitive(fracs):
+    den = lcm(*(b for _, b in fracs))
+    ints = [a * (den // b) for a, b in fracs]
+    g = gcd(*ints)
+    return [v // g for v in ints]
+
+
+def integer_kernel(build):
+    """Candidate kernel basis of an integer matrix, as primitive integer vectors.
+
+    `build(p)` returns the matrix reduced mod p: rows of residues, as nested
+    lists or a 2-D integer array. The result is empty when the kernel is zero
+    (a reduction of full column rank proves that) or when MAX_PRIMES primes do not
+    suffice to reconstruct it.
+    """
+    best = None
+    for p in _primes():
+        pivots, basis = _mod_rref_kernel(build(p), p)
+        if not basis:
+            return []
+        if best is None or (-len(pivots), pivots) < (-len(best), best):
+            best, residues, modulus, vectors = pivots, basis, p, None
+            continue
+        if pivots != best:
+            continue
+        if vectors is not None and _agrees(vectors, basis, p):
+            return [_primitive(v) for v in vectors]
+        residues = [[_crt(a, modulus, b, p) for a, b in zip(u, v)]
+                    for u, v in zip(residues, basis)]
+        modulus *= p
+        vectors = _reconstruct(residues, modulus)
+    return []

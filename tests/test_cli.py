@@ -1,6 +1,9 @@
 import json
 
+from avoidwords.cache import Cache
 from avoidwords.cli import EXIT_CAP, EXIT_INSUFFICIENT, EXIT_OK, main
+from avoidwords.fixtures import reference_recurrence
+from avoidwords.guessing import LinearRecurrence
 
 
 def run(capsys, *argv):
@@ -119,6 +122,19 @@ def test_guess_recurrence_cli(capsys, tmp_path):
     )
     assert code == EXIT_OK
     assert "w(n+1)" in out and "empirically-verified" in out
+
+
+def test_guess_ignores_a_planted_recurrence(capsys, tmp_path):
+    # a wrong recurrence stored under the key `guess` once read and wrote
+    wrong = LinearRecurrence(((-3,), (1,)))
+    params = {"max_order": 2, "max_degree": 3, "terms": 28}
+    Cache(tmp_path).store("recurrence", 2, params, wrong.to_json())
+    code, out, _ = run(
+        capsys, "guess", "--r", "2", "--max-order", "2", "--max-degree", "3",
+        "--cache-dir", str(tmp_path),
+    )
+    assert code == EXIT_OK
+    assert out.splitlines() == [str(reference_recurrence(2)), "status: empirically-verified"]
 
 
 def test_guess_algebraic_cli(capsys, tmp_path):

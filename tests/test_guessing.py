@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from avoidwords import linalg
 from avoidwords.bivariate import BivariatePolynomial as BP
 from avoidwords.elimination import match_equation
 from avoidwords.fixtures import reference_equation, reference_recurrence
@@ -8,6 +10,8 @@ from avoidwords.guessing import (
     LinearRecurrence,
     NonIntegralExtensionError,
     SingularRecurrenceError,
+    _algebraic_matrix,
+    _recurrence_matrix,
     extend_with_recurrence,
     guess_algebraic,
     guess_recurrence,
@@ -37,6 +41,39 @@ def test_r2_recurrence_matches_transcription():
 def test_r3_recurrence_matches_transcription():
     rec = guess_recurrence(word_counts(3, 60), 2, 5)
     assert rec.coeffs == reference_recurrence(3).coeffs
+
+
+@pytest.mark.parametrize("small", [2, 3, 5, 7])
+def test_unlucky_first_prime_is_replaced(monkeypatch, small):
+    # a small prime divides minors of the fit matrix, so its rank is too low;
+    # the later primes must take over rather than be skipped
+    real = linalg._primes()
+    monkeypatch.setattr(linalg, "_primes", lambda: (small,) + real)
+    rec = guess_recurrence(word_counts(2, 60), 2, 3)
+    assert rec is not None and rec.coeffs == reference_recurrence(2).coeffs
+
+
+def test_modular_matrices_match_exact_rows():
+    # the numpy builders against the integer matrices they reduce, at the
+    # largest prime, where int64 products come closest to overflow
+    p = linalg._primes()[0]
+    terms = word_counts(5, 40).terms
+    order, degree, rows = 4, 6, 30
+    exact = [[n**j * terms[n + k] for k in range(order + 1) for j in range(degree + 1)]
+             for n in range(rows)]
+    built = _recurrence_matrix(terms, order, degree, rows, p)
+    assert built.tolist() == [[c % p for c in row] for row in exact]
+
+    series = word_counts(4, 40).generating_series()
+    powers = [TruncatedSeries.one(series.cutoff)]
+    for _ in range(5):
+        powers.append(powers[-1] * series)
+    dx, df = 3, 5
+    exact = [[powers[b].coeffs[i - a] if i >= a else 0
+              for b in range(df + 1) for a in range(dx + 1)] for i in range(rows)]
+    residues = np.array([[c % p for c in s.coeffs] for s in powers], dtype=np.int64)
+    built = _algebraic_matrix(residues, dx, df, rows)
+    assert built.tolist() == [[c % p for c in row] for row in exact]
 
 
 def test_search_is_minimal_in_order_plus_degree():

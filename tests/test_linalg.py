@@ -1,8 +1,10 @@
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from avoidwords.linalg import kernel_basis, solve_linear_system
+from avoidwords.linalg import integer_kernel
+from fraction_solver import kernel_basis, solve_linear_system
 
 
 def test_identity_system():
@@ -77,3 +79,37 @@ def test_rank_deficient_consistent():
     res = solve_linear_system([[1, 2], [2, 4]], [3, 6])
     assert res.status == "solution"
     assert len(res.kernel) == 1
+
+
+# -------- the modular kernel against the Fraction oracle --------
+
+def _with_dependent_rows(drawn):
+    rows, mixes = drawn
+    extra = [[sum(c * row[j] for c, row in zip(mix, rows)) for j in range(len(rows[0]))]
+             for mix in mixes]
+    return rows + extra
+
+
+# independent-looking rows plus integer combinations of them, so that many
+# examples are rank-deficient
+deficient_strategy = st.integers(1, 5).flatmap(
+    lambda ncols: st.tuples(
+        st.lists(st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols),
+                 min_size=1, max_size=4),
+        st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), max_size=3),
+    )
+).map(_with_dependent_rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(matrix_strategy, deficient_strategy))
+def test_modular_kernel_spans_oracle_kernel(matrix):
+    vectors = integer_kernel(lambda p: [[a % p for a in row] for row in matrix])
+    assert len(vectors) == len(kernel_basis(matrix))
+    for v in vectors:
+        assert all(isinstance(c, int) for c in v) and gcd(*v) == 1
+        for row in matrix:
+            assert sum(a * b for a, b in zip(row, v)) == 0
+    if vectors:
+        # independent: no nonzero combination of the vectors vanishes
+        assert kernel_basis([list(col) for col in zip(*vectors)]) == []
