@@ -200,33 +200,35 @@ class AsymptoticReport:
 
 
 def sequence_for(r, nmax, verify_terms=30):
-    """Terms w_r(0..nmax), preferring linear extension by a cached recurrence.
+    """Terms w_r(0..nmax) and the path that made them.
 
-    The recurrence is re-verified against freshly computed scheme terms
-    before it is trusted for the long extension; with no cached recurrence
-    the scheme series is used directly (quadratic cost).
+    Returns (CountSequence, source). A cached recurrence is preferred: it is
+    re-verified against freshly computed scheme terms before it is trusted
+    for the long extension (source "recurrence-extension"). With no cached
+    recurrence, or when the check terms already reach nmax, the terms are
+    the scheme series' own (source "scheme-series", quadratic cost).
     """
     try:
         rec = load_cached_recurrence(r)
     except (FileNotFoundError, KeyError):
         rec = None
     if rec is None:
-        return word_counts(r, nmax)
+        return word_counts(r, nmax), "scheme-series"
     check_len = max(verify_terms, rec.order + 10)
     initial = word_counts(r, check_len)
     if not verify_recurrence(rec, initial):
         raise ArithmeticError(f"cached recurrence for r={r} fails on fresh terms")
     if nmax <= check_len:
-        return CountSequence(r=r, terms=initial.terms[: nmax + 1])
-    return extend_with_recurrence(rec, initial, nmax)
+        return CountSequence(r=r, terms=initial.terms[: nmax + 1]), "scheme-series"
+    return extend_with_recurrence(rec, initial, nmax), "recurrence-extension"
 
 
 def conjecture_check(r, nmax=2000, tol=0.01, seq=None):
     """Full asymptotic report for one r, with the growth pass/fail verdict."""
     if seq is None:
-        seq = sequence_for(r, nmax)
+        seq, source = sequence_for(r, nmax)
     else:
-        nmax = len(seq.terms) - 1
+        nmax, source = len(seq.terms) - 1, "supplied"
     with mp.workprec(PRECISION_BITS):
         growth = growth_ratio(seq)
         target = conjectured_growth(r)
@@ -255,7 +257,7 @@ def conjecture_check(r, nmax=2000, tol=0.01, seq=None):
                 None if c1ref is None else float(c1ref)
             ),
             constant_squared_times_pi=float(c * c * mpmath.pi),
-            source="recurrence-extension" if len(seq.terms) > 60 else "scheme-series",
+            source=source,
         )
 
 

@@ -9,8 +9,6 @@ lexicographic order.
 from fractions import Fraction
 from math import gcd
 
-from .polynomials import MultivariatePolynomial
-
 
 class BivariatePolynomial:
     """Sparse polynomial in (x, F): {(x_exp, F_exp): int coefficient}."""
@@ -30,14 +28,6 @@ class BivariatePolynomial:
     @classmethod
     def zero(cls):
         return cls({})
-
-    @classmethod
-    def from_multivariate(cls, p, x_name="x", f_name="F"):
-        q = p.restrict_variables((x_name, f_name))
-        return cls({(e[0], e[1]): c for e, c in q.terms.items()})
-
-    def to_multivariate(self, variables=("x", "F")):
-        return MultivariatePolynomial(variables, {(a, b): c for (a, b), c in self.terms.items()})
 
     # ---------------- queries ----------------
 
@@ -217,8 +207,3 @@ class BivariatePolynomial:
     @classmethod
     def from_json(cls, data):
         return cls({tuple(t["exponents"]): int(t["coeff"]) for t in data["terms"]})
-
-
-def bivar_divide_exact(num, den):
-    """Functional form of exact bivariate division; None when not divisible."""
-    return num.divide_exact(den)

@@ -6,8 +6,10 @@ and match it against the shipped reference), guess (recurrence or algebraic
 equation from data), asympt (growth-law report).
 
 Exit codes: 0 success and all requested verifications passed; 1 generic
-error; 2 brute-force cap exceeded; 3 timeout; 4 insufficient terms or no
-verified recurrence available; 5 a verification or reference match failed.
+error, such as an out-of-range argument; 2 brute-force cap exceeded; 3
+timeout; 4 insufficient terms or no verified recurrence available; 5 a
+verification, reference match or exact arithmetic check failed. An
+exception from a run ends in one `error:` line on stderr, not a traceback.
 """
 
 import argparse
@@ -16,10 +18,11 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .asymptotics import conjecture_check, report_table, sequence_for
+from .asymptotics import TooFewTermsError, conjecture_check, report_table, sequence_for
 from .cache import Cache
 from .elimination import (
     EmptyEliminationError,
+    InsufficientSeriesError,
     compress_exponents,
     eliminate,
     match_equation,
@@ -46,6 +49,18 @@ EXIT_CAP = 2
 EXIT_TIMEOUT = 3
 EXIT_INSUFFICIENT = 4
 EXIT_VERIFICATION = 5
+
+# exception kind -> exit code; the first match wins, so subclasses come
+# before their bases (BruteForceCapError is a ValueError,
+# EmptyEliminationError an ArithmeticError)
+EXIT_CODES = (
+    (BruteForceCapError, EXIT_CAP),
+    (EliminationTimeout, EXIT_TIMEOUT),
+    ((InsufficientTermsError, TooFewTermsError, InsufficientSeriesError), EXIT_INSUFFICIENT),
+    (EmptyEliminationError, EXIT_ERROR),
+    (ArithmeticError, EXIT_VERIFICATION),
+    ((ValueError, OSError), EXIT_ERROR),
+)
 
 
 def _emit_json(command, parameters, result):
@@ -82,7 +97,7 @@ def _counts_via(method, r, nmax, cap, cache):
             raise InsufficientTermsError(
                 f"no verified recurrence available for r={r}"
             ) from exc
-        return sequence_for(r, nmax)
+        return sequence_for(r, nmax)[0]
     raise ValueError(f"unknown method {method}")
 
 
@@ -280,23 +295,22 @@ def build_parser():
     return parser
 
 
+def _check_ranges(args):
+    if args.r < 1:
+        raise ValueError(f"--r must be >= 1, got {args.r}")
+    if getattr(args, "nmax", 0) < 0:
+        raise ValueError(f"--nmax must be >= 0, got {args.nmax}")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_ranges(args)
         return args.func(args)
-    except BruteForceCapError as exc:
+    except (ValueError, ArithmeticError, EliminationTimeout, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except EliminationTimeout as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TIMEOUT
-    except InsufficientTermsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT
-    except EmptyEliminationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

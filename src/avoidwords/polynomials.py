@@ -88,9 +88,6 @@ class MultivariatePolynomial:
     def is_constant(self):
         return all(all(e == 0 for e in exps) for exps in self.terms)
 
-    def constant_value(self):
-        return self.terms.get((0,) * len(self.variables), 0)
-
     def degree(self, name):
         """Degree in one variable; -1 for the zero polynomial."""
         if not self.terms:
@@ -246,11 +243,6 @@ class MultivariatePolynomial:
             out[tuple(e[i] for i in keep)] = c
         return MultivariatePolynomial(variables, out)
 
-    def uses_only(self, variables):
-        keep = set(variables)
-        idx = [i for i, v in enumerate(self.variables) if v not in keep]
-        return all(all(e[i] == 0 for i in idx) for e in self.terms)
-
     # ---------------- normalization ----------------
 
     def rational_content(self):
@@ -275,9 +267,6 @@ class MultivariatePolynomial:
         if p.terms[lead] < 0:
             p = -p
         return p
-
-    def integer_coefficients(self):
-        return all(isinstance(c, int) for c in self.terms.values())
 
     def strip_monomial_content(self):
         """Divide out the largest common monomial factor."""
@@ -385,14 +374,6 @@ def exact_divide(num, den):
             elif ee in rem:
                 del rem[ee]
     return MultivariatePolynomial(variables, q)
-
-
-def divides(den, num):
-    try:
-        exact_divide(num, den)
-        return True
-    except NonDivisibleError:
-        return False
 
 
 # ---------------- univariate views ----------------

@@ -13,9 +13,17 @@ with index pairs sorted into canonical (small, large) order, since the
 enumerator only depends on the unordered pair. Every right-hand term carries
 a factor of x, so the system solves uniquely coefficient by coefficient; the
 counting sequence is read off g^(0,0) at exponents divisible by r.
+
+The rule is written down once, in index form (`scheme_terms`); the
+polynomial equations used for elimination and printing are derived from it.
+The enumerators are graded by residue class: g^(i,j) has nonzero
+coefficients only at exponents = i+j (mod r), since its words have length
+i+j+r*k. The series solver relies on this and touches only those
+coefficients; the proof is in `solve_series`.
 """
 
 from dataclasses import dataclass, field
+from operator import mul
 
 from .polynomials import MultivariatePolynomial
 from .series import TruncatedSeries, evaluate_polynomial_on_series
@@ -67,26 +75,45 @@ class AlgebraicScheme:
         }
 
 
-def build_scheme(r):
-    """Construct the r(r+1)/2 equations for the given r."""
+def scheme_terms(r):
+    """The rule in index form: pair -> (delta, quadratic terms, linear terms).
+
+    Quadratic terms are (coef, pair_a, pair_b) standing for coef*x*g_a*g_b,
+    with pair_a <= pair_b and repeated products merged into coef; linear
+    terms are (xpow, pair) standing for x^xpow*g_pair. Every pair is
+    canonical. Both the polynomial equations and the series solver are read
+    from this one description.
+    """
     if r < 1:
         raise ValueError("r must be a positive integer")
+    terms = {}
+    for (i, j) in scheme_pairs(r):
+        quads = {}
+        for t in range(r):
+            a, b = sorted((canon_pair(i, t), canon_pair((r - t) % r, (j - 1) % r)))
+            quads[a, b] = quads.get((a, b), 0) + 1
+        lins = [(m + 1, canon_pair(i - m, j - 1)) for m in range(i)]
+        delta = 1 if (i, j) == (0, 0) else 0
+        terms[(i, j)] = (delta, [(c, a, b) for (a, b), c in quads.items()], lins)
+    return terms
+
+
+def build_scheme(r):
+    """Construct the r(r+1)/2 equations for the given r."""
     variables = scheme_variables(r)
 
     def G(pair):
-        return MultivariatePolynomial.variable(variables, variable_name(canon_pair(*pair)))
+        return MultivariatePolynomial.variable(variables, variable_name(pair))
 
     x = MultivariatePolynomial.variable(variables, "x")
     equations = {}
-    for (i, j) in scheme_pairs(r):
-        rhs = MultivariatePolynomial.zero(variables)
-        if i == 0 and j == 0:
-            rhs = rhs + 1
-        for t in range(r):
-            rhs = rhs + x * G((i, t)) * G(((r - t) % r, (j - 1) % r))
-        for m in range(i):
-            rhs = rhs + (x ** (m + 1)) * G((i - m, j - 1))
-        equations[(i, j)] = rhs - G((i, j))
+    for pair, (delta, quads, lins) in scheme_terms(r).items():
+        rhs = MultivariatePolynomial.zero(variables) + delta
+        for c, a, b in quads:
+            rhs = rhs + c * x * G(a) * G(b)
+        for xpow, q in lins:
+            rhs = rhs + (x ** xpow) * G(q)
+        equations[pair] = rhs - G(pair)
     return AlgebraicScheme(r=r, variables=variables, equations=equations)
 
 
@@ -107,86 +134,59 @@ class SeriesSolution:
         }
 
 
-def _compile_equations(scheme):
-    """Parse each equation into (delta, quadratic terms, linear terms).
-
-    Quadratic terms are (coef, pair_a, pair_b) standing for coef*x*g_a*g_b;
-    linear terms are (coef, xpow, pair) standing for coef*x^xpow*g_pair.
-    """
-    r = scheme.r
-    pairs = scheme_pairs(r)
-    var_index = {variable_name(p): scheme.variables.index(variable_name(p)) for p in pairs}
-    compiled = {}
-    for (i, j), poly in scheme.equations.items():
-        own = var_index[variable_name((i, j))]
-        delta = 0
-        quads = []
-        lins = []
-        for exps, c in poly.terms.items():
-            xpow = exps[0]
-            gs = []
-            for p in pairs:
-                e = exps[var_index[variable_name(p)]]
-                gs.extend([p] * e)
-            if not gs and xpow == 0:
-                delta = c
-            elif len(gs) == 1 and xpow == 0:
-                if gs[0] != (i, j) or c != -1:
-                    raise AssertionError(f"unexpected bare term in equation {(i, j)}")
-            elif len(gs) == 2 and xpow == 1:
-                quads.append((c, gs[0], gs[1]))
-            elif len(gs) == 1 and xpow >= 1:
-                lins.append((c, xpow, gs[0]))
-            else:
-                raise AssertionError(f"unexpected term shape in equation {(i, j)}: {exps}")
-        compiled[(i, j)] = (delta, quads, lins)
-    return compiled
-
-
 def solve_series(scheme, cutoff):
     """Unique power-series solution of the scheme up to the cutoff.
 
     Every non-constant right-hand term carries a factor of x, so coefficient
     m of each enumerator depends only on coefficients below m; one sweep per
     degree yields the solution. Exact integer arithmetic throughout.
+
+    Grading: coefficient m of g^(i,j) is 0 unless m = i+j (mod r). By
+    induction on m: the constant term sits at (0,0), where i+j = 0. In
+    x*g^(i,t)*g^((r-t) mod r, (j-1) mod r) the residues of the factors add
+    up to 1 + (i+t) + (r-t) + (j-1) = i+j (mod r), and in
+    x^(m+1)*g^(i-m, j-1) to (m+1) + (i-m) + (j-1) = i+j. So degree m only
+    updates the pairs in residue class m mod r, and the convolution of g_a
+    and g_b only runs over t = ra (mod r), where ra is g_a's residue; each
+    one is a single C-level dot product over strided slices.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     r = scheme.r
-    pairs = scheme_pairs(r)
-    compiled = _compile_equations(scheme)
-    coeffs = {p: [0] * cutoff for p in pairs}
-    for p in pairs:
-        delta = compiled[p][0]
-        if delta:
-            coeffs[p][0] = delta
+    terms = scheme_terms(r)
+    coeffs = {p: [0] * cutoff for p in terms}
+    # per residue class: its pairs, with each quadratic term pointing into
+    # the class's list of distinct products (ra, coefficients of a, of b),
+    # so a product shared by several pairs is computed once per degree
+    classes = [([], {}) for _ in range(r)]
+    for p, (delta, quads, lins) in terms.items():
+        coeffs[p][0] = delta
+        rows, index = classes[sum(p) % r]
+        for c, a, b in quads:
+            index.setdefault((a, b), len(index))
+        rows.append((coeffs[p], [(c, index[a, b]) for c, a, b in quads],
+                     [(xpow, coeffs[q]) for xpow, q in lins]))
+    classes = [
+        (rows, [(sum(a) % r, coeffs[a], coeffs[b]) for a, b in index])
+        for rows, index in classes
+    ]
     for m in range(1, cutoff):
         k = m - 1
-        conv_cache = {}
-        for p in pairs:
-            _, quads, lins = compiled[p]
+        rows, products = classes[m % r]
+        conv = [
+            sum(map(mul, ca[ra:k + 1:r], cb[k - ra::-r])) if k >= ra else 0
+            for ra, ca, cb in products
+        ]
+        for out, quads, lins in rows:
             s = 0
-            for c, a, b in quads:
-                key = (a, b) if a <= b else (b, a)
-                v = conv_cache.get(key)
-                if v is None:
-                    ca = coeffs[key[0]]
-                    cb = coeffs[key[1]]
-                    v = 0
-                    for t in range(k + 1):
-                        at = ca[t]
-                        if at:
-                            bt = cb[k - t]
-                            if bt:
-                                v += at * bt
-                    conv_cache[key] = v
-                s += c * v
-            for c, xpow, q in lins:
+            for c, at in quads:
+                s += c * conv[at]
+            for xpow, cq in lins:
                 if m >= xpow:
-                    s += c * coeffs[q][m - xpow]
-            coeffs[p][m] = s
+                    s += cq[m - xpow]
+            out[m] = s
     return SeriesSolution(
-        r=r, cutoff=cutoff, series={p: TruncatedSeries(coeffs[p], cutoff) for p in pairs}
+        r=r, cutoff=cutoff, series={p: TruncatedSeries(coeffs[p], cutoff) for p in terms}
     )
 
 

@@ -109,9 +109,6 @@ class TruncatedSeries:
             return TruncatedSeries.zero(self.cutoff)
         return TruncatedSeries([0] * k + self.coeffs[: self.cutoff - k], self.cutoff)
 
-    def truncate(self, cutoff):
-        return TruncatedSeries(self.coeffs[:cutoff], cutoff)
-
     def __str__(self):
         parts = []
         for i, c in enumerate(self.coeffs):

@@ -246,23 +246,31 @@ def avoidance_involution(word):
     first letter; behead the word and clip letters above i+1 down to i+1;
     recurse on that; then re-insert the deleted letters (those > i) in
     reverse order at the clipped positions, and put i back in front.
+
+    The recursion is unrolled. Clipping only ever lowers letters to a bound
+    (one more than the smallest head so far), so one descent records each
+    level's head and deleted letters; one unwind then re-inserts them,
+    innermost level first, on an output kept in reverse.
     """
     word = tuple(word)
-    if not word:
-        return ()
-    i = word[0]
-    clipped = tuple(c if c <= i + 1 else i + 1 for c in word[1:])
-    s = [c for c in word if c > i]
-    v = avoidance_involution(clipped)
-    s_rev = s[::-1]
-    out = [i]
-    k = 0
-    for c in v:
-        if c == i + 1:
-            out.append(s_rev[k])
-            k += 1
+    levels = []
+    bound = max(word, default=0) + 1
+    for d, c in enumerate(word):
+        if c >= bound:
+            levels.append((bound, None))  # clipped head: nothing above it
         else:
-            out.append(c)
+            levels.append((c, [w if w < bound else bound for w in word[d + 1:] if w > c]))
+            bound = c + 1
+    out = []
+    for i, deleted in reversed(levels):
+        if deleted:
+            top = i + 1
+            # read backwards, the clipped positions take the deleted letters
+            # in their original order
+            nxt = iter(deleted).__next__
+            out = [nxt() if c == top else c for c in out]
+        out.append(i)
+    out.reverse()
     return tuple(out)
 
 
@@ -304,7 +312,3 @@ def _A_recurse(key):
         total += _A_recurse(tuple(sorted(a for a in vec if a > 0)))
     _A_MEMO[key] = total
     return total
-
-
-def clear_recurrence_memo():
-    _A_MEMO.clear()

@@ -43,7 +43,8 @@ def test_synthetic_model_recovers_constant():
 
 
 def test_catalan_asymptotics():
-    seq = sequence_for(1, 2000)
+    seq, source = sequence_for(1, 2000)
+    assert source == "recurrence-extension"
     g = growth_ratio(seq)
     assert abs(g - 4) / 4 < 1e-4
     c = fit_constant(seq, growth=4, exponent=-1.5)
@@ -84,7 +85,18 @@ def test_report_serialization_and_table():
 
 
 def test_sequence_for_falls_back_to_scheme_without_recurrence():
-    seq = sequence_for(6, 20)  # no cached recurrence at r=6
+    seq, source = sequence_for(6, 20)  # no cached recurrence at r=6
+    assert source == "scheme-series"
     from avoidwords.scheme import word_counts
 
     assert seq.terms == word_counts(6, 20).terms
+
+
+def test_report_source_is_the_path_that_ran():
+    # r=6 has no recurrence, however many terms; r=2 at nmax 55 is extended
+    assert conjecture_check(6, nmax=80).source == "scheme-series"
+    assert conjecture_check(2, nmax=55).source == "recurrence-extension"
+    # within the re-verification span the scheme terms are returned as they are
+    assert sequence_for(2, 20)[1] == "scheme-series"
+    supplied = CountSequence(r=None, terms=sequence_for(1, 100)[0].terms)
+    assert conjecture_check(1, seq=supplied).source == "supplied"

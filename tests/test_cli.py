@@ -1,9 +1,24 @@
 import json
 
+import pytest
+
+from avoidwords import cli
 from avoidwords.cache import Cache
-from avoidwords.cli import EXIT_CAP, EXIT_INSUFFICIENT, EXIT_OK, main
+from avoidwords.cli import (
+    EXIT_CAP,
+    EXIT_ERROR,
+    EXIT_INSUFFICIENT,
+    EXIT_OK,
+    EXIT_TIMEOUT,
+    EXIT_VERIFICATION,
+    main,
+)
 from avoidwords.fixtures import reference_recurrence
-from avoidwords.guessing import LinearRecurrence
+from avoidwords.guessing import (
+    LinearRecurrence,
+    NonIntegralExtensionError,
+    SingularRecurrenceError,
+)
 
 
 def run(capsys, *argv):
@@ -162,3 +177,68 @@ def test_asympt_json(capsys, tmp_path):
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["result"]["passed"] is True
+
+
+BAD_INPUTS = [
+    (("count", "--r", "0", "--nmax", "3"), EXIT_ERROR, "--r"),
+    (("count", "--r", "2", "--nmax", "-1"), EXIT_ERROR, "--nmax"),
+    (("count", "--r", "0", "--nmax", "3", "--method", "brute"), EXIT_ERROR, "--r"),
+    (("count", "--r", "2", "--nmax", "-1", "--method", "recurrence"), EXIT_ERROR, "--nmax"),
+    (("scheme", "--r", "-2"), EXIT_ERROR, "--r"),
+    (("eliminate", "--r", "0"), EXIT_ERROR, "--r"),
+    (("guess", "--r", "0"), EXIT_ERROR, "--r"),
+    (("guess", "--r", "2", "--terms", "-3"), EXIT_ERROR, "nmax"),
+    (("guess", "--r", "2", "--terms", "3"), EXIT_INSUFFICIENT, "terms"),
+    (("asympt", "--r", "0"), EXIT_ERROR, "--r"),
+    (("asympt", "--r", "2", "--nmax", "-5"), EXIT_ERROR, "--nmax"),
+    (("asympt", "--r", "2", "--nmax", "20"), EXIT_INSUFFICIENT, "terms"),
+    (("count", "--r", "2", "--nmax", "3", "--method", "brute", "--cap", "-1"), EXIT_CAP, "cap"),
+    (("eliminate", "--r", "2", "--timeout", "0"), EXIT_TIMEOUT, "time"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,fragment", BAD_INPUTS, ids=[" ".join(a) for a, _, _ in BAD_INPUTS]
+)
+def test_bad_input_exit_code_and_one_line_error(capsys, tmp_path, argv, code, fragment):
+    got, out, err = run(capsys, *argv, "--no-cache", "--cache-dir", str(tmp_path))
+    assert got == code
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+
+
+@pytest.mark.parametrize(
+    "exc", [ArithmeticError, NonIntegralExtensionError, SingularRecurrenceError]
+)
+def test_arithmetic_failures_exit_5(capsys, tmp_path, monkeypatch, exc):
+    def fail(*args):
+        raise exc("term check failed")
+
+    monkeypatch.setattr(cli, "word_counts", fail)
+    code, _, err = run(capsys, "count", "--r", "2", "--nmax", "3", "--cache-dir", str(tmp_path))
+    assert code == EXIT_VERIFICATION
+    assert err == "error: term check failed\n"
+
+
+def test_failed_recurrence_reverification_exits_5(capsys, tmp_path, monkeypatch):
+    # the r=2 recurrence passed off as the shipped r=3 one
+    monkeypatch.setattr(
+        "avoidwords.asymptotics.load_cached_recurrence", lambda r: reference_recurrence(2)
+    )
+    code, out, err = run(
+        capsys, "count", "--r", "3", "--nmax", "100", "--method", "linear-rec",
+        "--cache-dir", str(tmp_path),
+    )
+    assert (code, out) == (EXIT_VERIFICATION, "")
+    assert err.startswith("error: cached recurrence for r=3 fails")
+
+
+def test_unusable_cache_directory_exits_1(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run(
+        capsys, "count", "--r", "1", "--nmax", "3", "--cache-dir", str(blocker / "cache")
+    )
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -9,6 +9,11 @@ from avoidwords.scheme import (
     word_counts,
 )
 from avoidwords.words import P123, P231, count_avoiders_bruteforce, count_avoiders_recurrence
+from scheme_oracle import solve_series_full
+
+
+def _coeffs(sol):
+    return {pair: series.coeffs for pair, series in sol.series.items()}
 
 
 def test_canon_pair_sorts():
@@ -80,7 +85,25 @@ def test_grading(r):
                 assert c == 0, (r, (i, j), m)
 
 
-@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+def test_solver_matches_full_convolution_at_small_cutoffs(r):
+    # cutoffs below r+1 leave some strided slices empty (k < ra)
+    scheme = build_scheme(r)
+    for cutoff in range(1, 3 * r + 3):
+        sol = solve_series(scheme, cutoff)
+        assert sol.cutoff == cutoff
+        assert all(len(series.coeffs) == cutoff for series in sol.series.values())
+        assert _coeffs(sol) == solve_series_full(scheme, cutoff), cutoff
+
+
+@pytest.mark.parametrize("r,nmax", [(3, 100), (4, 75), (5, 60)])
+def test_solver_matches_full_convolution_at_length(r, nmax):
+    scheme = build_scheme(r)
+    cutoff = r * nmax + 1
+    assert _coeffs(solve_series(scheme, cutoff)) == solve_series_full(scheme, cutoff)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_residuals_vanish(r):
     scheme = build_scheme(r)
     sol = solve_series(scheme, 25)
@@ -110,6 +133,12 @@ def test_counts_against_bruteforce_and_recurrence():
             assert seq[n] == count_avoiders_bruteforce(vec, P231, cap=12), (r, n)
             assert seq[n] == count_avoiders_bruteforce(vec, P123, cap=12), (r, n)
             assert seq[n] == count_avoiders_recurrence(vec), (r, n)
+
+
+@pytest.mark.parametrize("r", [5, 6])
+def test_counts_against_multiset_recurrence(r):
+    seq = word_counts(r, 20)
+    assert seq.terms == [count_avoiders_recurrence((r,) * n) for n in range(21)]
 
 
 def test_pretty_printer_mentions_all_enumerators():
