@@ -295,11 +295,20 @@ def build_parser():
     return parser
 
 
+# sizes, search bounds and budgets that argparse leaves unchecked
+NONNEGATIVE = ("nmax", "max_order", "max_degree", "max_deg_x", "max_deg_f", "terms", "timeout")
+
+
 def _check_ranges(args):
     if args.r < 1:
         raise ValueError(f"--r must be >= 1, got {args.r}")
-    if getattr(args, "nmax", 0) < 0:
-        raise ValueError(f"--nmax must be >= 0, got {args.nmax}")
+    for name in NONNEGATIVE:
+        value = getattr(args, name, None)
+        if value is not None and not value >= 0:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
+    tol = getattr(args, "tol", None)
+    if tol is not None and not tol > 0:
+        raise ValueError(f"--tol must be > 0, got {tol}")
 
 
 def main(argv=None):

@@ -2,7 +2,8 @@
 
 Polynomials are immutable. Coefficients are Python ints where possible and
 ``fractions.Fraction`` otherwise; exponent vectors are tuples aligned with a
-fixed tuple of variable names. Includes exact division, content/primitive
+fixed tuple of variable names; multiplication and exact division pack them
+into ints internally. Includes exact division, content/primitive
 normalization, pseudo-division, subresultant-PRS resultants and gcds --
 everything the elimination machinery needs, at desk scale (schoolbook
 algorithms throughout).
@@ -10,6 +11,8 @@ algorithms throughout).
 
 import random as _random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd
 
 
@@ -24,6 +27,43 @@ def _norm_coeff(c):
             return int(c)
         return c
     return c
+
+
+# ---------------- packed monomials ----------------
+#
+# Multiplication and exact division run on exponent vectors packed into one
+# int each (Kronecker substitution): `width` bits per variable, the first
+# variable most significant. While no field exceeds its width, adding keys
+# adds exponent vectors and integer order on keys is lex order on tuples.
+# Each caller sizes `width` to the largest exponent its loop can produce.
+
+def _max_exponent(terms):
+    return max(chain.from_iterable(terms), default=0)
+
+
+def _field_width(top):
+    """Bits per field for exponents in 0..top."""
+    return max(top.bit_length(), 1)
+
+
+def _pack(terms, width):
+    out = {}
+    for e, c in terms.items():
+        k = 0
+        for a in e:
+            k = (k << width) | a
+        out[k] = c
+    return out
+
+
+def _unpack_key(k, nv, width):
+    mask = (1 << width) - 1
+    return tuple([(k >> s) & mask for s in range((nv - 1) * width, -1, -width)])
+
+
+def _unpack(packed, nv, width):
+    """Tuple-keyed terms of a packed term map, zero coefficients dropped."""
+    return {_unpack_key(k, nv, width): c for k, c in packed.items() if c}
 
 
 class MultivariatePolynomial:
@@ -151,16 +191,18 @@ class MultivariatePolynomial:
                 self.variables, {e: c * other for e, c in self.terms.items()}
             )
         self._check_compatible(other)
+        if not self.terms or not other.terms:
+            return MultivariatePolynomial.zero(self.variables)
+        width = _field_width(_max_exponent(self.terms) + _max_exponent(other.terms))
+        rows = _pack(self.terms, width).items()
+        cols = list(_pack(other.terms, width).items())
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return MultivariatePolynomial(self.variables, out)
+        get = out.get
+        for k1, c1 in rows:
+            for k2, c2 in cols:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        return MultivariatePolynomial(self.variables, _unpack(out, len(self.variables), width))
 
     __rmul__ = __mul__
 
@@ -348,32 +390,57 @@ class MultivariatePolynomial:
 def exact_divide(num, den):
     """Return q with num == den*q, else raise NonDivisibleError.
 
-    Long division cancelling leading terms under lex order on exponents.
+    Long division cancelling leading terms under lex order, on packed
+    monomials; a heap yields the remainder's leading term. An exact quotient
+    has degree deg_v(num) - deg_v(den) in each variable v, so a quotient term
+    above that bound proves non-divisibility. The check also keeps every
+    remainder exponent within 0..deg_v(num), so packed fields never carry.
     """
     if den.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
     num._check_compatible(den)
     variables = num.variables
-    lead_d = max(den.terms) if den.terms else None
-    cd = den.terms[lead_d]
-    rem = dict(num.terms)
+    if num.is_zero:
+        return num
+    nv = len(variables)
+    num_deg = [max(col) for col in zip(*num.terms)]
+    q_deg = [a - max(col) for a, col in zip(num_deg, zip(*den.terms))]
+    if min(q_deg, default=0) < 0:
+        raise NonDivisibleError("divisor has higher degree than dividend")
+    width = _field_width(max(num_deg, default=0))
+    divisor = _pack(den.terms, width)
+    lead_d = max(divisor)
+    cd = divisor.pop(lead_d)
+    tail = list(divisor.items())
+    # a remainder's leading exponents, field by field, that give a quotient
+    # exponent in 0..q_deg
+    low = _unpack_key(lead_d, nv, width)
+    high = [lo + d for lo, d in zip(low, q_deg)]
+    rem = _pack(num.terms, width)
+    heap = [-k for k in rem]
+    heapify(heap)
     q = {}
-    while rem:
-        lead_r = max(rem)
-        if any(a < b for a, b in zip(lead_r, lead_d)):
+    while heap:
+        lead = -heappop(heap)
+        c = rem.pop(lead)
+        if not c:
+            continue
+        if not all(lo <= x <= hi for lo, x, hi in zip(low, _unpack_key(lead, nv, width), high)):
             raise NonDivisibleError("leading term not divisible")
-        e = tuple(a - b for a, b in zip(lead_r, lead_d))
-        c = Fraction(rem[lead_r], cd) if not isinstance(rem[lead_r], Fraction) else rem[lead_r] / cd
-        c = _norm_coeff(c)
+        e = lead - lead_d
+        if isinstance(c, int) and isinstance(cd, int) and c % cd == 0:
+            c = c // cd
+        else:
+            c = _norm_coeff(Fraction(c) / cd)
         q[e] = c
-        for ed, cdd in den.terms.items():
-            ee = tuple(a + b for a, b in zip(e, ed))
-            s = rem.get(ee, 0) - c * cdd
-            if s:
-                rem[ee] = s
-            elif ee in rem:
-                del rem[ee]
-    return MultivariatePolynomial(variables, q)
+        for ed, cdd in tail:
+            k = e + ed
+            if k in rem:
+                rem[k] -= c * cdd
+            else:
+                rem[k] = -c * cdd
+                heappush(heap, -k)
+    return MultivariatePolynomial(variables, _unpack(q, nv, width))
 
 
 # ---------------- univariate views ----------------
@@ -413,44 +480,41 @@ def _univ_to_poly(coeffs, name, variables):
 
 def pseudo_division(f, g, name):
     """(q, r) with lc(g)**d * f == q*g + r, deg_name(r) < deg_name(g)."""
+    r = pseudo_rem(f, g, name)
+    n = g.degree(name)
+    d = f.degree(name) - n + 1
+    if d <= 0:
+        return MultivariatePolynomial.zero(f.variables), f
+    lc = g.coefficient_of(name, n)
+    return exact_divide(lc**d * f - r, g), r
+
+
+def pseudo_rem(f, g, name):
+    """r of pseudo_division, without building the quotient."""
     f._check_compatible(g)
-    variables = f.variables
-    F = _univ(f, name)
+    R = _univ(f, name)
     G = _univ(g, name)
     if not G:
         raise ZeroDivisionError("pseudo-division by zero")
     n = _univ_degree(G)
-    lc = G[-1]
-    m = _univ_degree(F)
+    lc = G.pop()
+    m = _univ_degree(R)
     if m < n:
-        return MultivariatePolynomial.zero(variables), f
-    d = m - n + 1
-    Q = [MultivariatePolynomial.zero(variables) for _ in range(m - n + 1)]
-    R = list(F)
+        return f
     steps = 0
     while True:
         _univ_trim(R)
         k = _univ_degree(R)
         if k < n:
             break
-        t = R[k]
-        # R <- lc*R - t*x^(k-n)*G
+        # R <- lc*R - t*x^(k-n)*G; the x^k coefficient lc*t - t*lc is 0
+        t = R.pop()
         R = [lc * c for c in R]
-        Q = [lc * c for c in Q]
-        Q[k - n] = Q[k - n] + t
-        for j, gc in enumerate(G):
-            R[k - n + j] = R[k - n + j] - t * gc
+        for j, gc in enumerate(G, k - n):
+            R[j] = R[j] - t * gc
         steps += 1
-    scale = lc ** (d - steps)
-    Q = [c * scale for c in Q]
-    R = [c * scale for c in R]
-    q = _univ_to_poly(_univ_trim(Q), name, variables)
-    r = _univ_to_poly(_univ_trim(R), name, variables)
-    return q, r
-
-
-def pseudo_rem(f, g, name):
-    return pseudo_division(f, g, name)[1]
+    scale = lc ** (m - n + 1 - steps)
+    return _univ_to_poly([c * scale for c in R], name, f.variables)
 
 
 # ---------------- resultant (subresultant PRS) ----------------
@@ -510,56 +574,6 @@ def _prs_resultant(f, g, name):
     if g.degree(name) > 0:
         return MultivariatePolynomial.zero(variables)
     return S[-1] * sign_swap
-
-
-def sylvester_resultant(p, q, name):
-    """Resultant via Bareiss determinant of the Sylvester matrix.
-
-    Independent of the PRS path; used as a cross-check oracle in tests.
-    """
-    p._check_compatible(q)
-    variables = p.variables
-    m = p.degree(name)
-    n = q.degree(name)
-    if m <= 0 and n <= 0:
-        raise ValueError(f"both operands degenerate in {name}")
-    P = _univ(p, name)
-    Q = _univ(q, name)
-    size = m + n
-    zero = MultivariatePolynomial.zero(variables)
-    M = [[zero] * size for _ in range(size)]
-    for i in range(n):
-        for j, c in enumerate(reversed(P)):
-            M[i][i + j] = c
-    for i in range(m):
-        for j, c in enumerate(reversed(Q)):
-            M[n + i][i + j] = c
-    return _bareiss_det(M, variables)
-
-
-def _bareiss_det(M, variables):
-    n = len(M)
-    if n == 0:
-        return MultivariatePolynomial.constant(variables, 1)
-    M = [row[:] for row in M]
-    sign = 1
-    prev = MultivariatePolynomial.constant(variables, 1)
-    for k in range(n - 1):
-        if M[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not M[i][k].is_zero:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return MultivariatePolynomial.zero(variables)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = M[k][k] * M[i][j] - M[i][k] * M[k][j]
-                M[i][j] = exact_divide(num, prev)
-            M[i][k] = MultivariatePolynomial.zero(variables)
-        prev = M[k][k]
-    return M[n - 1][n - 1] * sign
 
 
 # ---------------- gcd and square-free part ----------------

@@ -302,13 +302,17 @@ def _A_recurse(key):
     hit = _A_MEMO.get(key)
     if hit is not None:
         return hit
-    n = len(key)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + key[i]
+    # key is sorted, so each child key is sorted without sorting: the suffix
+    # sum s is at least every letter kept and goes last, and v - 1 goes at
+    # the start of the run of v; zeros are dropped
     total = 0
-    for i in range(n):
-        vec = key[:i] + (key[i] - 1, suffix[i + 1])
-        total += _A_recurse(tuple(sorted(a for a in vec if a > 0)))
+    s = sum(key)
+    run = 0
+    for i, v in enumerate(key):
+        s -= v
+        if v != key[run]:
+            run = i
+        lowered = (v - 1,) if v > 1 else ()
+        total += _A_recurse(key[:run] + lowered + key[run:i] + ((s,) if s else ()))
     _A_MEMO[key] = total
     return total

@@ -187,13 +187,20 @@ BAD_INPUTS = [
     (("scheme", "--r", "-2"), EXIT_ERROR, "--r"),
     (("eliminate", "--r", "0"), EXIT_ERROR, "--r"),
     (("guess", "--r", "0"), EXIT_ERROR, "--r"),
-    (("guess", "--r", "2", "--terms", "-3"), EXIT_ERROR, "nmax"),
+    (("guess", "--r", "2", "--terms", "-3"), EXIT_ERROR, "--terms"),
+    (("guess", "--r", "2", "--max-order", "-1"), EXIT_ERROR, "--max-order"),
+    (("guess", "--r", "2", "--max-degree", "-1"), EXIT_ERROR, "--max-degree"),
+    (("guess", "--r", "2", "--algebraic", "--max-deg-x", "-1"), EXIT_ERROR, "--max-deg-x"),
+    (("guess", "--r", "2", "--algebraic", "--max-deg-f", "-1"), EXIT_ERROR, "--max-deg-f"),
     (("guess", "--r", "2", "--terms", "3"), EXIT_INSUFFICIENT, "terms"),
     (("asympt", "--r", "0"), EXIT_ERROR, "--r"),
     (("asympt", "--r", "2", "--nmax", "-5"), EXIT_ERROR, "--nmax"),
     (("asympt", "--r", "2", "--nmax", "20"), EXIT_INSUFFICIENT, "terms"),
+    (("asympt", "--r", "2", "--tol", "-1"), EXIT_ERROR, "--tol"),
+    (("asympt", "--r", "2", "--tol", "0"), EXIT_ERROR, "--tol"),
     (("count", "--r", "2", "--nmax", "3", "--method", "brute", "--cap", "-1"), EXIT_CAP, "cap"),
     (("eliminate", "--r", "2", "--timeout", "0"), EXIT_TIMEOUT, "time"),
+    (("eliminate", "--r", "2", "--timeout", "-1"), EXIT_ERROR, "--timeout"),
 ]
 
 

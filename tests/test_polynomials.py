@@ -11,8 +11,8 @@ from avoidwords.polynomials import (
     pseudo_division,
     resultant,
     squarefree_part,
-    sylvester_resultant,
 )
+from resultant_oracle import sylvester_resultant
 
 VARS = ("x", "y")
 

@@ -148,6 +148,12 @@ def test_recurrence_agrees_with_bruteforce_small():
         assert count_avoiders_recurrence(v) == count_avoiders_bruteforce(v, P123)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=6).filter(lambda v: sum(v) <= 10))
+def test_recurrence_agrees_with_bruteforce_random(vector):
+    assert count_avoiders_recurrence(vector) == count_avoiders_bruteforce(vector, P123)
+
+
 def test_equinumeracy_spot_checks():
     for v in [(2, 2, 2), (3, 2, 1), (2, 2, 1, 1)]:
         c123 = count_avoiders_bruteforce(v, P123)
