@@ -6,7 +6,6 @@ in 1/n) extrapolation. The growth rates and the -3/2 exponent are on firm
 footing; the leading constants are conjectural and reported as such.
 """
 
-import json
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 
@@ -267,7 +266,3 @@ def report_table(reports):
         lines.extend(rep.text_lines())
         lines.append("")
     return "\n".join(lines).rstrip()
-
-
-def report_json(reports):
-    return json.dumps([rep.to_json() for rep in reports], indent=2, sort_keys=True)

@@ -100,6 +100,8 @@ class Cache:
                 data = json.loads(path.read_text())
             except (OSError, json.JSONDecodeError):
                 return None
+        if not isinstance(data, dict):
+            return None
         if data.get("tool_version") != __version__:
             return None
         if data.get("content_hash") != payload_hash(data.get("payload", {})):

@@ -295,17 +295,19 @@ def build_parser():
     return parser
 
 
-# sizes, search bounds and budgets that argparse leaves unchecked
-NONNEGATIVE = ("nmax", "max_order", "max_degree", "max_deg_x", "max_deg_f", "terms", "timeout")
+# least values of the sizes, search bounds and budgets that argparse leaves
+# unchecked
+MINIMUM = {
+    "r": 1, "nmax": 0, "max_order": 0, "max_degree": 0, "max_deg_x": 0,
+    "max_deg_f": 0, "terms": 1, "timeout": 0,
+}
 
 
 def _check_ranges(args):
-    if args.r < 1:
-        raise ValueError(f"--r must be >= 1, got {args.r}")
-    for name in NONNEGATIVE:
+    for name, low in MINIMUM.items():
         value = getattr(args, name, None)
-        if value is not None and not value >= 0:
-            raise ValueError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
+        if value is not None and not value >= low:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
     tol = getattr(args, "tol", None)
     if tol is not None and not tol > 0:
         raise ValueError(f"--tol must be > 0, got {tol}")

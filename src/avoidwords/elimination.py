@@ -111,14 +111,14 @@ def _eliminate_resultants(scheme, timeout):
             if q is pivot:
                 continue
             check_time()
-            res = resultant(pivot, q, name)
+            res = resultant(pivot, q, name, check_time)
             if res.is_zero:
-                res = _split_common_factor(scheme, pivot, q, name)
+                res = _split_common_factor(scheme, pivot, q, name, check_time)
                 if res is None:
                     continue
             res = res.strip_monomial_content().primitive()
             if next_name is not None and res.degree(next_name) > 0:
-                res = squarefree_part(res, next_name)
+                res = squarefree_part(res, next_name, check_time)
             produced.append(res.strip_monomial_content().primitive())
         polys = others + produced
     final = [p for p in polys if not p.is_zero]
@@ -129,7 +129,7 @@ def _eliminate_resultants(scheme, timeout):
     return best.restrict_variables(("x", variable_name((0, 0)))).primitive()
 
 
-def _split_common_factor(scheme, pivot, q, name):
+def _split_common_factor(scheme, pivot, q, name, check):
     """Salvage a vanishing resultant: pivot and q share a factor in `name`.
 
     The shared factor is kept when it vanishes on the series solution
@@ -140,7 +140,7 @@ def _split_common_factor(scheme, pivot, q, name):
     from .scheme import solve_series
     from .series import TruncatedSeries, evaluate_polynomial_on_series
 
-    g = polynomial_gcd(pivot, q)
+    g = polynomial_gcd(pivot, q, check)
     if g.is_constant():
         return None
     cutoff = 12 * scheme.r + 1
@@ -154,7 +154,7 @@ def _split_common_factor(scheme, pivot, q, name):
     pivot2 = exact_divide(pivot, g)
     q2 = exact_divide(q, g)
     if pivot2.degree(name) > 0 and q2.degree(name) > 0:
-        res = resultant(pivot2, q2, name)
+        res = resultant(pivot2, q2, name, check)
         if not res.is_zero:
             return res
     for cofactor in (q2, pivot2):

@@ -1,10 +1,11 @@
 """Reference equations and recurrences shipped with the package.
 
-The algebraic equations for r = 1..4 and the recurrences for r = 1..3 are
-known closed forms, transcribed here from their factored displays; the
-recurrences for r = 4 and 5 were produced by this package's own guesser and
-are cached as data files after exact verification against the scheme series.
-Everything is exposed in the canonical JSON forms under ``data/``.
+Each artifact is one canonical JSON file, ``data/{kind}_r{r}.json``, and
+that file is its only source. Files with status ``reference`` hold the
+known algebraic equations (r = 1..4) and recurrences (r = 1..3). The
+recurrences for r = 4 and 5 have status ``empirically-verified``: this
+package's own guesser produced them and they were verified exactly against
+the scheme series, but they are not proved.
 """
 
 import json
@@ -13,142 +14,40 @@ from importlib import resources
 from .bivariate import BivariatePolynomial
 from .guessing import LinearRecurrence
 
-X = BivariatePolynomial({(1, 0): 1})
-F = BivariatePolynomial({(0, 1): 1})
-ONE = BivariatePolynomial({(0, 0): 1})
+
+def _data(kind, r):
+    """The parsed ``data/{kind}_r{r}.json``, or None when there is no such file."""
+    path = resources.files("avoidwords") / "data" / f"{kind}_r{r}.json"
+    return json.loads(path.read_text()) if path.is_file() else None
 
 
-def _c(n):
-    return BivariatePolynomial({(0, 0): n})
-
-
-def _xpoly(*coeffs):
-    """Polynomial in x alone; coefficients given highest degree first."""
-    out = {}
-    deg = len(coeffs) - 1
-    for k, c in enumerate(coeffs):
-        if c:
-            out[(deg - k, 0)] = c
-    return BivariatePolynomial(out)
-
-
-def _build_equation(r):
-    if r == 1:
-        return (X * F**2 - F + ONE).canonical()
-    if r == 2:
-        return (ONE - (2 * X + ONE) * F**2 + X * (X + _c(4)) * F**4).canonical()
-    if r == 3:
-        return (
-            (4 * X + ONE) ** 2
-            + _xpoly(64, 48, -1) * F**2
-            - 2 * X * _xpoly(128, 108, 27) * F**4
-            - 16 * X**2 * _xpoly(32, 27) * F**6
-            + X**2 * _xpoly(32, 27) ** 2 * F**8
-        ).canonical()
-    if r == 4:
-        return (
-            X**3 * _xpoly(5, -256) ** 4 * _xpoly(4, 1) ** 4 * F**16
-            + 4 * X**3 * _xpoly(85, 58) * _xpoly(5, -256) ** 3 * _xpoly(4, 1) ** 3 * F**14
-            + 2 * X**2 * _xpoly(200, 11845, 8658, 6503, 256)
-            * _xpoly(5, -256) ** 2 * _xpoly(4, 1) ** 2 * F**12
-            + 4 * X**2 * _xpoly(5, -256) * _xpoly(4, 1)
-            * _xpoly(25500, -977800, 15739435, 9911721, 2082455, 138496) * F**10
-            + X * _xpoly(60000, 2772000, -471787725, 11351360680, 15348867846,
-                         7091445146, 1387805641, 96468480, -458752) * F**8
-            + 4 * X * _xpoly(127500, -6439500, 28100475, 187145995, 58215739,
-                             -5955159, -2743199, -108800) * F**6
-            + _xpoly(10000, 628250, -57924600, 1098116930, 827342646,
-                     223797652, 24970546, 842512, 1024) * F**4
-            + _xpoly(42500, -1521500, -6516800, -7480160, -276672,
-                     461716, 49271, -1024) * F**2
-            + X * _xpoly(1, 1) ** 2 * _xpoly(25, 65, 11) ** 2
-        ).canonical()
-    raise KeyError(f"no reference equation for r={r}")
-
-
-def _npoly(*factors_or_coeffs):
-    """Multiply linear-and-higher factors given as ascending coefficient tuples."""
-    out = [1]
-    for fac in factors_or_coeffs:
-        new = [0] * (len(out) + len(fac) - 1)
-        for i, a in enumerate(out):
-            for j, b in enumerate(fac):
-                new[i + j] += a * b
-        out = new
-    return out
-
-
-def _scale(poly, c):
-    return [c * v for v in poly]
-
-
-def _build_recurrence(r):
-    # ascending coefficient tuples; p_k multiplies w(n+k)
-    if r == 1:
-        return LinearRecurrence(((-2, -4), (2, 1)))
-    if r == 2:
-        p0 = _scale(_npoly((12, 7), (1, 2), (1, 1)), -6)
-        p1 = _scale([528, 1426, 1215, 329], -1)
-        p2 = _scale(_npoly((5, 2), (5, 7), (2, 1)), 2)
-        return LinearRecurrence((tuple(p0), tuple(p1), tuple(p2)))
-    if r == 3:
-        p0 = _scale(_npoly((1, 4), (3, 2), (3, 4), (25, 14), (1, 1)), -64)
-        p1 = _scale([3975, 20322, 39676, 37144, 16736, 2912], -8)
-        p2 = _scale(_npoly((5, 3), (1, 2), (7, 3), (11, 14), (2, 1)), 3)
-        return LinearRecurrence((tuple(p0), tuple(p1), tuple(p2)))
-    raise KeyError(f"no transcribed recurrence for r={r}")
+def _reference(kind, r):
+    data = _data(kind, r)
+    if data is None or data["status"] != "reference":
+        raise KeyError(f"no reference {kind} for r={r}")
+    return data
 
 
 def reference_equation(r):
     """The known algebraic equation P_r(x, F) in canonical form (r <= 4)."""
-    return _build_equation(r)
+    return BivariatePolynomial.from_json(_reference("equation", r)["polynomial"])
 
 
 def reference_recurrence(r):
     """The known denominator-cleared recurrence for w_r (r <= 3)."""
-    return _build_recurrence(r)
-
-
-def _data_path(name):
-    return resources.files("avoidwords") / "data" / name
+    return LinearRecurrence.from_json(_reference("recurrence", r)["recurrence"])
 
 
 def load_cached_recurrence(r):
-    """A recurrence for w_r: transcribed for r <= 3, guessed-and-verified beyond.
+    """A recurrence for w_r: the reference one, or a guessed-and-verified one.
 
-    Guessed recurrences ship as data files and are only empirically
-    verified; callers re-verify them against freshly computed terms before
-    relying on them for long extensions.
+    Guessed recurrences are only empirically verified; callers re-verify
+    them against freshly computed terms before relying on them for long
+    extensions.
     """
-    if r <= 3:
-        return reference_recurrence(r)
-    path = _data_path(f"recurrence_r{r}.json")
-    if not path.is_file():
+    data = _data("recurrence", r)
+    if data is None:
         raise FileNotFoundError(
             f"no cached recurrence for r={r}; run the guesser and save one"
         )
-    with path.open() as fh:
-        data = json.load(fh)
     return LinearRecurrence.from_json(data["recurrence"])
-
-
-def equation_fixture_json(r):
-    """Canonical JSON payload for the r-th reference equation."""
-    return {
-        "kind": "equation",
-        "r": r,
-        "status": "reference",
-        "description": f"algebraic equation satisfied by the generating function, r={r}",
-        "polynomial": reference_equation(r).to_json(),
-    }
-
-
-def recurrence_fixture_json(r):
-    rec = reference_recurrence(r)
-    return {
-        "kind": "recurrence",
-        "r": r,
-        "status": "reference",
-        "description": f"denominator-cleared linear recurrence for the counting sequence, r={r}",
-        "recurrence": rec.to_json(),
-    }

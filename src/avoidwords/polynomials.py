@@ -478,19 +478,12 @@ def _univ_to_poly(coeffs, name, variables):
     return out
 
 
-def pseudo_division(f, g, name):
-    """(q, r) with lc(g)**d * f == q*g + r, deg_name(r) < deg_name(g)."""
-    r = pseudo_rem(f, g, name)
-    n = g.degree(name)
-    d = f.degree(name) - n + 1
-    if d <= 0:
-        return MultivariatePolynomial.zero(f.variables), f
-    lc = g.coefficient_of(name, n)
-    return exact_divide(lc**d * f - r, g), r
-
-
 def pseudo_rem(f, g, name):
-    """r of pseudo_division, without building the quotient."""
+    """The pseudo-remainder of f by g in `name`, without the quotient.
+
+    lc(g)**d * f == q*g + r with deg_name(r) < deg_name(g), where
+    d = deg f - deg g + 1; f itself when d <= 0.
+    """
     f._check_compatible(g)
     R = _univ(f, name)
     G = _univ(g, name)
@@ -519,71 +512,71 @@ def pseudo_rem(f, g, name):
 
 # ---------------- resultant (subresultant PRS) ----------------
 
-def resultant(p, q, name):
+def resultant(p, q, name, check=None):
     """Sylvester resultant of p and q with respect to `name`, exact.
 
     Subresultant PRS (Brown's algorithm); raises ValueError when both inputs
-    are degenerate (degree <= 0 in `name`).
+    are degenerate (degree <= 0 in `name`). `check`, when given, is called
+    after every pseudo-remainder step, so it can abort a long resultant.
     """
     p._check_compatible(q)
-    variables = p.variables
     n = p.degree(name)
     m = q.degree(name)
     if n <= 0 and m <= 0:
         raise ValueError(f"both operands degenerate in {name}")
     if p.is_zero or q.is_zero:
-        return MultivariatePolynomial.zero(variables)
-    res = _prs_resultant(p, q, name)
-    return res
-
-
-def _prs_resultant(f, g, name):
-    variables = f.variables
-    one = MultivariatePolynomial.constant(variables, 1)
-    n = f.degree(name)
-    m = g.degree(name)
-    sign_swap = 1
+        return MultivariatePolynomial.zero(p.variables)
+    sign = 1
     if n < m:
-        f, g = g, f
-        n, m = m, n
+        p, q = q, p
         if n % 2 and m % 2:
-            sign_swap = -1
-    if m == 0:
-        # res(f, const) = const**deg(f)
-        return (g ** n) * sign_swap
-    d = n - m
-    b = one * ((-1) ** (d + 1))
-    h = pseudo_rem(f, g, name) * b
+            sign = -1
+    for last, s in _subresultant_prs(p, q, name, check):
+        pass
+    if last.degree(name) > 0:
+        return MultivariatePolynomial.zero(p.variables)
+    return s * sign
+
+
+def _subresultant_prs(f, g, name, check=None):
+    """Brown's subresultant PRS of f and g in `name`, deg f >= deg g >= 0.
+
+    Yields (member, s) for g and then for every nonzero pseudo-remainder,
+    s being the member's subresultant coefficient. The sequence ends after a
+    member free of `name`, whose s is res(f, g), or at a zero remainder,
+    when the last member is gcd(f, g) up to content. `check` is called
+    after every pseudo-remainder step.
+    """
+    m = g.degree(name)
+    d = f.degree(name) - m
+    bb = MultivariatePolynomial.constant(f.variables, (-1) ** (d + 1))
     lc = g.coefficient_of(name, m)
-    c = lc ** d
-    S = [one, c]
-    c = -c
-    while not h.is_zero:
+    c = -(lc**d)
+    while True:
+        yield g, -c
+        if m == 0:
+            return
+        h = exact_divide(pseudo_rem(f, g, name), bb)
+        if check is not None:
+            check()
+        if h.is_zero:
+            return
         k = h.degree(name)
-        f, g, n, d = g, h, k, m - k
-        m = k
-        bb = -lc * (c ** d)
-        h = pseudo_rem(f, g, name)
-        h = exact_divide(h, bb)
-        lc = g.coefficient_of(name, g.degree(name))
-        if d > 1:
-            c = exact_divide((-lc) ** d, c ** (d - 1))
-        else:
-            c = -lc
-        S.append(-c)
-    if g.degree(name) > 0:
-        return MultivariatePolynomial.zero(variables)
-    return S[-1] * sign_swap
+        f, g, d, m = g, h, m - k, k
+        bb = -lc * (c**d)
+        lc = g.coefficient_of(name, m)
+        c = exact_divide((-lc) ** d, c ** (d - 1)) if d > 1 else -lc
 
 
 # ---------------- gcd and square-free part ----------------
 
-def polynomial_gcd(p, q):
+def polynomial_gcd(p, q, check=None):
     """gcd over the rationals, returned integer-primitive with positive lead.
 
     A random-evaluation screen settles the common trivial case in one
     univariate gcd; a genuinely nontrivial gcd falls through to Brown's
-    subresultant remainder sequence.
+    subresultant remainder sequence, which calls `check` (if given) after
+    every pseudo-remainder step.
     """
     if p.is_zero:
         return q.primitive()
@@ -596,14 +589,19 @@ def polynomial_gcd(p, q):
     if not common:
         return MultivariatePolynomial.constant(p.variables, 1)
     name = max(common, key=lambda v: min(p.degree(v), q.degree(v)))
-    cp, pp = _content_primitive(p, name)
-    cq, pq = _content_primitive(q, name)
-    cont = polynomial_gcd(cp, cq)
+    cp, pp = _content_primitive(p, name, check)
+    cq, pq = _content_primitive(q, name, check)
+    cont = polynomial_gcd(cp, cq, check)
     d = _screened_gcd_degree(pp, pq, name)
     if d == 0:
         return cont.primitive()
-    g = _subresultant_gcd(pp, pq, name)
-    g = _content_primitive(g, name)[1]
+    if pp.degree(name) < pq.degree(name):
+        pp, pq = pq, pp
+    for g, _ in _subresultant_prs(pp, pq, name, check):
+        pass
+    if g.degree(name) == 0:
+        return cont.primitive()  # gcd is trivial in `name`
+    g = _content_primitive(g, name, check)[1]
     return (cont * g).primitive()
 
 
@@ -689,44 +687,12 @@ def _int_poly_gcd_degree(a, b):
     return len(a) - 1
 
 
-def _subresultant_gcd(f, g, name):
-    """Last nonzero member of Brown's subresultant PRS: a gcd up to content."""
-    variables = f.variables
-    one = MultivariatePolynomial.constant(variables, 1)
-    n = f.degree(name)
-    m = g.degree(name)
-    if n < m:
-        f, g = g, f
-        n, m = m, n
-    d = n - m
-    b = one * ((-1) ** (d + 1))
-    h = pseudo_rem(f, g, name) * b
-    lc = g.coefficient_of(name, m)
-    c = lc ** d
-    c = -c
-    while not h.is_zero:
-        k = h.degree(name)
-        if k == 0:
-            return one  # gcd is trivial in `name`
-        f, g, d = g, h, m - k
-        m = k
-        bb = -lc * (c ** d)
-        h = pseudo_rem(f, g, name)
-        h = exact_divide(h, bb)
-        lc = g.coefficient_of(name, g.degree(name))
-        if d > 1:
-            c = exact_divide((-lc) ** d, c ** (d - 1))
-        else:
-            c = -lc
-    return g
-
-
-def _content_primitive(p, name):
+def _content_primitive(p, name, check=None):
     """(content, primitive part) of p viewed in `name`."""
     coeffs = _univ(p, name)
     cont = MultivariatePolynomial.zero(p.variables)
     for c in coeffs:
-        cont = polynomial_gcd(cont, c)
+        cont = polynomial_gcd(cont, c, check)
         if cont.is_constant() and not cont.is_zero:
             cont = MultivariatePolynomial.constant(p.variables, 1)
             break
@@ -737,11 +703,14 @@ def _content_primitive(p, name):
     return cont, exact_divide(p, cont).primitive()
 
 
-def squarefree_part(p, name):
-    """p with repeated factors (in `name`) removed, integer-primitive."""
+def squarefree_part(p, name, check=None):
+    """p with repeated factors (in `name`) removed, integer-primitive.
+
+    `check` is passed on to polynomial_gcd.
+    """
     if p.degree(name) <= 0:
         return p.primitive() if not p.is_zero else p
-    g = polynomial_gcd(p, p.derivative(name))
+    g = polynomial_gcd(p, p.derivative(name), check)
     if g.is_constant():
         return p.primitive()
     return exact_divide(p, g).primitive()

@@ -138,11 +138,6 @@ class TruncatedSeries:
         return cls(coeffs, data["cutoff"])
 
 
-def series_mul(a, b):
-    """Cauchy product truncated at the minimum cutoff."""
-    return a * b
-
-
 def evaluate_bivariate(poly, f):
     """P(x, f(x)) as a TruncatedSeries at f's cutoff, computed exactly."""
     n = f.cutoff

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from avoidwords.cache import Cache, CacheEntry, payload_hash
 
 
@@ -27,6 +29,14 @@ def test_corrupted_payload_reads_as_miss(tmp_path):
     path.write_text(json.dumps(data))
     assert cache.load("sequence", 1, {"nmax": 2}) is None
     assert entry.content_hash == payload_hash({"terms": ["1", "1", "2"]})
+
+
+@pytest.mark.parametrize("document", ["[1, 2]", "null", "7", '"text"'])
+def test_non_object_document_reads_as_miss(tmp_path, document):
+    cache = Cache(tmp_path)
+    cache.store("sequence", 2, {"nmax": 5}, {"terms": ["1"]})
+    cache._key_path("sequence", 2, {"nmax": 5}).write_text(document)
+    assert cache.load("sequence", 2, {"nmax": 5}) is None
 
 
 def test_version_bump_invalidates(tmp_path):

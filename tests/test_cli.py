@@ -188,6 +188,8 @@ BAD_INPUTS = [
     (("eliminate", "--r", "0"), EXIT_ERROR, "--r"),
     (("guess", "--r", "0"), EXIT_ERROR, "--r"),
     (("guess", "--r", "2", "--terms", "-3"), EXIT_ERROR, "--terms"),
+    (("guess", "--r", "2", "--max-order", "2", "--max-degree", "3", "--terms", "0"),
+     EXIT_ERROR, "--terms"),
     (("guess", "--r", "2", "--max-order", "-1"), EXIT_ERROR, "--max-order"),
     (("guess", "--r", "2", "--max-degree", "-1"), EXIT_ERROR, "--max-degree"),
     (("guess", "--r", "2", "--algebraic", "--max-deg-x", "-1"), EXIT_ERROR, "--max-deg-x"),

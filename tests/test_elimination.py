@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import pytest
 
+from avoidwords import elimination, polynomials
 from avoidwords.bivariate import BivariatePolynomial as BP
 from avoidwords.elimination import (
     compress_exponents,
@@ -9,6 +12,7 @@ from avoidwords.elimination import (
     InsufficientSeriesError,
 )
 from avoidwords.fixtures import reference_equation
+from avoidwords.groebner import EliminationTimeout
 from avoidwords.polynomials import (
     MultivariatePolynomial as MP,
     NonDivisibleError,
@@ -155,3 +159,25 @@ def test_final_chain_outputs_share_reference_factor():
     g = polynomial_gcd(a, b)
     p = compress_exponents(g, 2)
     assert match_equation(p, reference_equation(2))
+
+
+def test_resultant_chain_checks_its_budget_after_every_prs_step(monkeypatch):
+    now = [0.0]
+    monkeypatch.setattr(elimination, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    steps, finished = [], []
+    pseudo_rem = polynomials.pseudo_rem
+
+    def first_step_overruns(*args):
+        steps.append(args)
+        now[0] = 100.0  # past the deadline once this step is done
+        return pseudo_rem(*args)
+
+    def recorded_resultant(*args, **kwargs):
+        finished.append(resultant(*args, **kwargs))
+        return finished[-1]
+
+    monkeypatch.setattr(polynomials, "pseudo_rem", first_step_overruns)
+    monkeypatch.setattr(elimination, "resultant", recorded_resultant)
+    with pytest.raises(EliminationTimeout):
+        eliminate(build_scheme(3), "resultants", timeout=10)
+    assert len(steps) == 1 and finished == []

@@ -8,10 +8,10 @@ from avoidwords.polynomials import (
     NonDivisibleError,
     exact_divide,
     polynomial_gcd,
-    pseudo_division,
     resultant,
     squarefree_part,
 )
+from division_oracle import pseudo_division
 from resultant_oracle import sylvester_resultant
 
 VARS = ("x", "y")
@@ -202,3 +202,26 @@ def test_strip_monomial_content():
     p = X**2 * Y + X**3
     out = p.strip_monomial_content()
     assert out == Y + X
+
+
+class Stop(Exception):
+    pass
+
+
+def stop():
+    raise Stop
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda check: resultant(X**2 * Y + 1, X * Y**2 + X + 3, "x", check),
+        lambda check: polynomial_gcd((X + Y) * (X**2 + 2), (X + Y) * (X - 3), check),
+        lambda check: squarefree_part((X + Y) ** 2 * (X - Y), "x", check),
+    ],
+    ids=["resultant", "polynomial_gcd", "squarefree_part"],
+)
+def test_check_runs_after_a_prs_step(run):
+    assert run(None) is not None
+    with pytest.raises(Stop):
+        run(stop)

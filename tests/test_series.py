@@ -7,14 +7,13 @@ from avoidwords.polynomials import MultivariatePolynomial as MP
 from avoidwords.series import (
     TruncatedSeries,
     evaluate_polynomial_on_series,
-    series_mul,
 )
 
 
 def test_geometric_times_one_minus_x():
     geo = TruncatedSeries([1] * 10)
     one_minus_x = TruncatedSeries([1, -1], 10)
-    prod = series_mul(geo, one_minus_x)
+    prod = geo * one_minus_x
     assert prod.coeffs == [1] + [0] * 9
 
 
