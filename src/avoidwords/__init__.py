@@ -36,7 +36,6 @@ from .scheme import (
 )
 from .series import TruncatedSeries
 from .polynomials import MultivariatePolynomial, resultant
-from .bivariate import BivariatePolynomial
 from .elimination import (
     compress_exponents,
     eliminate,
@@ -69,7 +68,6 @@ __all__ = [
     "word_counts",
     "TruncatedSeries",
     "MultivariatePolynomial",
-    "BivariatePolynomial",
     "resultant",
     "eliminate",
     "compress_exponents",

@@ -21,20 +21,22 @@ from . import __version__
 from .asymptotics import TooFewTermsError, conjecture_check, report_table, sequence_for
 from .cache import Cache
 from .elimination import (
+    EliminationTimeout,
     EmptyEliminationError,
     InsufficientSeriesError,
     compress_exponents,
     eliminate,
+    f_major,
     match_equation,
     verify_annihilation,
 )
 from .fixtures import load_cached_recurrence, reference_equation
-from .groebner import EliminationTimeout
 from .guessing import (
     InsufficientTermsError,
     guess_algebraic,
     guess_recurrence,
 )
+from .polynomials import MultivariatePolynomial
 from .scheme import CountSequence, build_scheme, word_counts
 from .words import (
     P123,
@@ -135,9 +137,7 @@ def cmd_eliminate(args):
     scheme = build_scheme(args.r)
     cached = cache.load("equation", args.r, {"backend": args.backend})
     if cached is not None:
-        from .bivariate import BivariatePolynomial
-
-        equation = BivariatePolynomial.from_json(cached)
+        equation = MultivariatePolynomial.from_json(cached)
     else:
         raw = eliminate(scheme, backend=args.backend, timeout=timeout)
         equation = compress_exponents(raw, args.r)
@@ -151,7 +151,7 @@ def cmd_eliminate(args):
         verdict = match_equation(equation, reference).status
         if verdict == "mismatch":
             exit_code = EXIT_VERIFICATION
-    cutoff = max(50, 2 * (equation.deg_x() + equation.deg_f()) + 1)
+    cutoff = max(50, 2 * (equation.degree("x") + equation.degree("F")) + 1)
     series = word_counts(args.r, cutoff).generating_series()
     annihilates = verify_annihilation(equation, series)
     if not annihilates:
@@ -169,7 +169,7 @@ def cmd_eliminate(args):
             },
         )
     else:
-        print(f"P_{args.r}(x, F) = {equation}")
+        print(f"P_{args.r}(x, F) = {equation.to_text(f_major)}")
         if verdict is not None:
             print(f"reference match: {verdict}")
         print(f"annihilates series mod x^{cutoff}: {annihilates}")
@@ -194,7 +194,7 @@ def cmd_guess(args):
                 {"equation": poly.to_json(), "reference_match": verdict},
             )
         else:
-            print(poly)
+            print(poly.to_text(f_major))
             if verdict is not None:
                 print(f"reference match: {verdict}")
         return EXIT_VERIFICATION if verdict == "mismatch" else EXIT_OK
@@ -299,7 +299,7 @@ def build_parser():
 # unchecked
 MINIMUM = {
     "r": 1, "nmax": 0, "max_order": 0, "max_degree": 0, "max_deg_x": 0,
-    "max_deg_f": 0, "terms": 1, "timeout": 0,
+    "max_deg_f": 0, "terms": 1, "timeout": 0, "cap": 0,
 }
 
 

@@ -4,7 +4,8 @@ Two independent backends produce a polynomial in {x, G0_0} that annihilates
 the g^(0,0) series: a Groebner basis under a block elimination order, and a
 chain of resultants (one auxiliary variable at a time, square-free and
 content-reduced after each step). Compressing x^r -> x then yields the
-algebraic equation satisfied by the counting generating function itself.
+algebraic equation satisfied by the counting generating function itself, a
+MultivariatePolynomial over ("x", "F") in the form `canonical_equation` gives.
 """
 
 import time
@@ -12,17 +13,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .bivariate import BivariatePolynomial
-from .groebner import EliminationTimeout, block_elimination_key, groebner_basis
+from .groebner import block_elimination_key, groebner_basis
 from .polynomials import (
     MultivariatePolynomial,
+    NonDivisibleError,
+    exact_divide,
+    polynomial_gcd,
     resultant,
     squarefree_part,
 )
-from .series import evaluate_bivariate
-from .scheme import scheme_pairs, variable_name
+from .scheme import scheme_pairs, solve_series, variable_name
+from .series import TruncatedSeries, evaluate_bivariate, evaluate_polynomial_on_series
 
 DEFAULT_TIMEOUT = 120.0
+
+
+class EliminationTimeout(TimeoutError):
+    """The wall-clock budget for an elimination was exhausted."""
 
 
 class EmptyEliminationError(ArithmeticError):
@@ -53,22 +60,35 @@ def eliminate(scheme, backend="buchberger", timeout=DEFAULT_TIMEOUT):
     member free of the auxiliary variables. backend "resultants": variables
     removed one at a time, largest (i+j, i) first, with square-free part and
     content stripped after every resultant.
+
+    One deadline check runs before every Groebner S-pair and after every
+    coefficient product and quotient term of the resultant chain, so a run
+    overshoots `timeout` seconds (None: no limit) by about one such step
+    before it raises EliminationTimeout.
     """
+    deadline = None if timeout is None else time.monotonic() + timeout
+
+    def check():
+        if deadline is not None and time.monotonic() > deadline:
+            raise EliminationTimeout(
+                f"{backend} elimination exceeded its time budget of {timeout} s"
+            )
+
     if backend == "buchberger":
-        return _eliminate_buchberger(scheme, timeout)
+        return _eliminate_buchberger(scheme, check)
     if backend == "resultants":
-        return _eliminate_resultants(scheme, timeout)
+        return _eliminate_resultants(scheme, check)
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def _eliminate_buchberger(scheme, timeout):
+def _eliminate_buchberger(scheme, check):
     variables = scheme.variables
     keep = {"x", variable_name((0, 0))}
     elim_positions = [k for k, v in enumerate(variables) if v not in keep]
     kept_positions = [variables.index(variable_name((0, 0))), variables.index("x")]
     key_fn = block_elimination_key(len(variables), elim_positions, kept_positions)
     gens = [_integer_terms(poly) for poly in scheme.equations.values()]
-    basis = groebner_basis(gens, key_fn, timeout=timeout)
+    basis = groebner_basis(gens, key_fn, check)
     for p in basis:  # sorted by leading monomial, smallest first
         if all(all(e[pos] == 0 for pos in elim_positions) for e in p):
             out = MultivariatePolynomial(variables, p)
@@ -76,13 +96,7 @@ def _eliminate_buchberger(scheme, timeout):
     raise EmptyEliminationError("no Groebner basis element lies in the kept variables")
 
 
-def _eliminate_resultants(scheme, timeout):
-    deadline = None if timeout is None else time.monotonic() + timeout
-
-    def check_time():
-        if deadline is not None and time.monotonic() > deadline:
-            raise EliminationTimeout("resultant chain exceeded its time budget")
-
+def _eliminate_resultants(scheme, check):
     order = sorted(
         (p for p in scheme_pairs(scheme.r) if p != (0, 0)),
         key=lambda p: (p[0] + p[1], p[0]),
@@ -94,7 +108,7 @@ def _eliminate_resultants(scheme, timeout):
     # intermediate a valid annihilator and stops degree creep
     polys = [poly.strip_monomial_content().primitive() for _, poly in sorted(scheme.equations.items())]
     for step, name in enumerate(elim_names):
-        check_time()
+        check()
         having = [p for p in polys if p.degree(name) > 0]
         others = [p for p in polys if p.degree(name) <= 0]
         if not having:
@@ -110,15 +124,15 @@ def _eliminate_resultants(scheme, timeout):
         for q in having:
             if q is pivot:
                 continue
-            check_time()
-            res = resultant(pivot, q, name, check_time)
+            check()
+            res = resultant(pivot, q, name, check)
             if res.is_zero:
-                res = _split_common_factor(scheme, pivot, q, name, check_time)
+                res = _split_common_factor(scheme, pivot, q, name, check)
                 if res is None:
                     continue
             res = res.strip_monomial_content().primitive()
             if next_name is not None and res.degree(next_name) > 0:
-                res = squarefree_part(res, next_name, check_time)
+                res = squarefree_part(res, next_name, check)
             produced.append(res.strip_monomial_content().primitive())
         polys = others + produced
     final = [p for p in polys if not p.is_zero]
@@ -136,10 +150,6 @@ def _split_common_factor(scheme, pivot, q, name, check):
     (checked to a healthy cutoff); otherwise the cofactor of q does, and its
     resultant with the pivot replaces the zero.
     """
-    from .polynomials import polynomial_gcd, exact_divide
-    from .scheme import solve_series
-    from .series import TruncatedSeries, evaluate_polynomial_on_series
-
     g = polynomial_gcd(pivot, q, check)
     if g.is_constant():
         return None
@@ -151,8 +161,8 @@ def _split_common_factor(scheme, pivot, q, name, check):
     if evaluate_polynomial_on_series(g, assignment).is_zero():
         return g
     # g is nonzero on the solution, so both cofactors vanish on it
-    pivot2 = exact_divide(pivot, g)
-    q2 = exact_divide(q, g)
+    pivot2 = exact_divide(pivot, g, check)
+    q2 = exact_divide(q, g, check)
     if pivot2.degree(name) > 0 and q2.degree(name) > 0:
         res = resultant(pivot2, q2, name, check)
         if not res.is_zero:
@@ -163,6 +173,20 @@ def _split_common_factor(scheme, pivot, q, name, check):
     return None
 
 
+def f_major(exponents):
+    """Order key on (x, F) exponent pairs: the degree in F, then in x."""
+    return exponents[1], exponents[0]
+
+
+def canonical_equation(poly):
+    """An equation over (x, F) made integer-primitive, with a positive
+    leading coefficient under the f_major order."""
+    p = poly.primitive()
+    if p.terms and p.terms[max(p.terms, key=f_major)] < 0:
+        p = -p
+    return p
+
+
 def compress_exponents(poly, r):
     """Substitute x^r -> x and rename G0_0 to F, canonically.
 
@@ -170,13 +194,8 @@ def compress_exponents(poly, r):
     NonDivisibleError naming the offending monomial.
     """
     compressed = poly.substitute_power("x", r) if r > 1 else poly
-    g00 = variable_name((0, 0))
-    out = {}
-    xi = compressed.variables.index("x")
-    gi = compressed.variables.index(g00)
-    for e, c in compressed.terms.items():
-        out[(e[xi], e[gi])] = c
-    return BivariatePolynomial(out).canonical()
+    pairs = compressed.restrict_variables(("x", variable_name((0, 0))))
+    return canonical_equation(MultivariatePolynomial(("x", "F"), pairs.terms))
 
 
 def verify_annihilation(poly, f, margin_factor=2.0):
@@ -185,7 +204,7 @@ def verify_annihilation(poly, f, margin_factor=2.0):
     Requires the cutoff to exceed margin_factor*(deg_x + deg_F); anything
     shorter would accept junk.
     """
-    need = int(margin_factor * (poly.deg_x() + poly.deg_f()))
+    need = int(margin_factor * (poly.degree("x") + poly.degree("F")))
     if f.cutoff < need:
         raise InsufficientSeriesError(
             f"series cutoff {f.cutoff} below required margin {need}"
@@ -196,7 +215,7 @@ def verify_annihilation(poly, f, margin_factor=2.0):
 @dataclass
 class MatchResult:
     status: str  # "equal" | "proper-multiple" | "mismatch"
-    quotient: BivariatePolynomial | None = None
+    quotient: MultivariatePolynomial | None = None
 
     def __bool__(self):
         return self.status in ("equal", "proper-multiple")
@@ -204,11 +223,12 @@ class MatchResult:
 
 def match_equation(ours, reference):
     """Compare canonical forms; a proper multiple of the reference also passes."""
-    a = ours.canonical()
-    b = reference.canonical()
+    a = canonical_equation(ours)
+    b = canonical_equation(reference)
     if a == b:
         return MatchResult("equal")
-    q = a.divide_exact(b)
-    if q is not None and not q.is_zero:
-        return MatchResult("proper-multiple", q)
-    return MatchResult("mismatch")
+    try:
+        q = exact_divide(a, b)
+    except NonDivisibleError:
+        return MatchResult("mismatch")
+    return MatchResult("proper-multiple", q) if q else MatchResult("mismatch")

@@ -11,8 +11,8 @@ the scheme series, but they are not proved.
 import json
 from importlib import resources
 
-from .bivariate import BivariatePolynomial
 from .guessing import LinearRecurrence
+from .polynomials import MultivariatePolynomial
 
 
 def _data(kind, r):
@@ -30,7 +30,7 @@ def _reference(kind, r):
 
 def reference_equation(r):
     """The known algebraic equation P_r(x, F) in canonical form (r <= 4)."""
-    return BivariatePolynomial.from_json(_reference("equation", r)["polynomial"])
+    return MultivariatePolynomial.from_json(_reference("equation", r)["polynomial"])
 
 
 def reference_recurrence(r):

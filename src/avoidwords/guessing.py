@@ -13,12 +13,14 @@ supplied terms, not proved.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
+from .elimination import canonical_equation
 from .linalg import integer_kernel
+from .polynomials import MultivariatePolynomial
 from .scheme import CountSequence
-from .bivariate import BivariatePolynomial
 from .series import TruncatedSeries, evaluate_bivariate
 
 DEFAULT_MARGIN = 10
@@ -160,6 +162,28 @@ def extend_with_recurrence(rec, initial, nmax):
     return CountSequence(r=r, terms=out) if r is not None else out
 
 
+# ---------------- the search shared by both guessers ----------------
+
+def _first_verified(max_i, max_j, candidates, coefficients, verify):
+    """The first candidate that passes `verify`, or None.
+
+    Boxes (i, j) with i <= max_i and j <= max_j are tried by increasing
+    i + j (ties: smaller i); within a box, the list candidates(i, j) is
+    tried by increasing total bit size of coefficients(candidate), earlier
+    candidates first among equals.
+    """
+    def bits(c):
+        return sum(abs(v).bit_length() for v in coefficients(c))
+
+    for total in range(max_i + max_j + 1):
+        for i in range(min(total, max_i) + 1):
+            if total - i <= max_j:
+                for c in sorted(candidates(i, total - i), key=bits):
+                    if verify(c):
+                        return c
+    return None
+
+
 # ---------------- the (order, degree) search ----------------
 
 def guess_recurrence(seq, max_order, max_degree, margin=DEFAULT_MARGIN):
@@ -177,41 +201,25 @@ def guess_recurrence(seq, max_order, max_degree, margin=DEFAULT_MARGIN):
         raise InsufficientTermsError(
             f"{len(terms)} terms supplied; bounds require at least {need}"
         )
-    for total in range(0, max_order + max_degree + 1):
-        for order in range(0, min(total, max_order) + 1):
-            degree = total - order
-            if degree > max_degree:
-                continue
-            rec = _try_candidate(terms, order, degree, margin)
-            if rec is not None:
-                return rec
-    return None
+    return _first_verified(
+        max_order, max_degree,
+        lambda order, degree: _recurrence_candidates(terms, order, degree, margin),
+        lambda rec: chain.from_iterable(rec.coeffs),
+        lambda rec: rec.verify(terms),
+    )
 
 
-def _fit_rows(terms, order, degree, margin):
+def _recurrence_candidates(terms, order, degree, margin):
+    """Kernel recurrences of exactly this order and degree bound; none when
+    too few terms remain to fit the box."""
     width = (order + 1) * (degree + 1)
-    n_max = len(terms) - 1 - margin - order
-    rows = min(width + 4, n_max + 1)
+    rows = min(width + 4, len(terms) - margin - order)
     if rows < width - 1:
-        return None, width
-    return rows, width
-
-
-def _try_candidate(terms, order, degree, margin):
-    rows, width = _fit_rows(terms, order, degree, margin)
-    if rows is None:
-        return None
-    candidates = []
-    for vec in integer_kernel(lambda p: _recurrence_matrix(terms, order, degree, rows, p)):
-        rec = LinearRecurrence.from_kernel_vector(vec, order, degree)
-        if rec.order != order:
-            continue  # a lower-order recurrence would have been found earlier
-        candidates.append(rec)
-    candidates.sort(key=lambda r: sum(abs(c).bit_length() for p in r.coeffs for c in p))
-    for rec in candidates:
-        if rec.verify(terms):
-            return rec
-    return None
+        return []
+    kernel = integer_kernel(lambda p: _recurrence_matrix(terms, order, degree, rows, p))
+    recs = (LinearRecurrence.from_kernel_vector(vec, order, degree) for vec in kernel)
+    # a lower-order recurrence would have been found earlier
+    return [rec for rec in recs if rec.order == order]
 
 
 def _recurrence_matrix(terms, order, degree, rows, p):
@@ -228,7 +236,7 @@ def _recurrence_matrix(terms, order, degree, rows, p):
 # ---------------- direct algebraic-equation guessing ----------------
 
 def guess_algebraic(series, max_deg_x, max_deg_f, margin=DEFAULT_MARGIN):
-    """Smallest bivariate P with P(x, f) = 0 mod the cutoff, or None.
+    """Smallest P over (x, F) with P(x, f) = 0 mod the cutoff, or None.
 
     Cross-check of the elimination route: works straight from the series'
     integer coefficients, holdout-checked on the final `margin` coefficients
@@ -249,31 +257,28 @@ def guess_algebraic(series, max_deg_x, max_deg_f, margin=DEFAULT_MARGIN):
             residues[p] = np.array([[c % p for c in s.coeffs] for s in powers], dtype=np.int64)
         return residues[p]
 
-    for total in range(0, max_deg_x + max_deg_f + 1):
-        for df in range(0, min(total, max_deg_f) + 1):
-            dx = total - df
-            if dx > max_deg_x:
-                continue
-            poly = _try_algebraic(series, powers_mod, dx, df, margin)
-            if poly is not None:
-                return poly
-    return None
+    return _first_verified(
+        max_deg_f, max_deg_x,
+        lambda df, dx: _algebraic_candidates(series, powers_mod, dx, df, margin),
+        lambda poly: poly.terms.values(),
+        lambda poly: evaluate_bivariate(poly, series).is_zero(),
+    )
 
 
-def _try_algebraic(series, powers_mod, dx, df, margin):
+def _algebraic_candidates(series, powers_mod, dx, df, margin):
+    """Canonical kernel equations within (dx, df); none when too few
+    coefficients remain to fit the box."""
     width = (dx + 1) * (df + 1)
     rows = min(width + 4, series.cutoff - margin)
     if rows < width - 1:
-        return None
-    candidates = []
-    for vec in integer_kernel(lambda p: _algebraic_matrix(powers_mod(p), dx, df, rows)):
-        terms = {(i % (dx + 1), i // (dx + 1)): c for i, c in enumerate(vec) if c}
-        candidates.append(BivariatePolynomial(terms).canonical())
-    candidates.sort(key=lambda p: sum(abs(c).bit_length() for c in p.terms.values()))
-    for poly in candidates:
-        if evaluate_bivariate(poly, series).is_zero():
-            return poly
-    return None
+        return []
+    kernel = integer_kernel(lambda p: _algebraic_matrix(powers_mod(p), dx, df, rows))
+    return [
+        canonical_equation(MultivariatePolynomial(
+            ("x", "F"), {(i % (dx + 1), i // (dx + 1)): c for i, c in enumerate(vec)}
+        ))
+        for vec in kernel
+    ]
 
 
 def _algebraic_matrix(powers, dx, df, rows):

@@ -336,9 +336,14 @@ class MultivariatePolynomial:
         return "*".join(parts)
 
     def __str__(self):
+        return self.to_text()
+
+    def to_text(self, order=None):
+        """The terms in decreasing order(exponents); by default total degree, then lex."""
         if not self.terms:
             return "0"
-        items = sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        order = order or (lambda e: (sum(e), e))
+        items = sorted(self.terms.items(), key=lambda t: order(t[0]), reverse=True)
         out = []
         for e, c in items:
             m = self._monom_str(e)
@@ -387,7 +392,7 @@ class MultivariatePolynomial:
 
 # ---------------- exact division ----------------
 
-def exact_divide(num, den):
+def exact_divide(num, den, check=None):
     """Return q with num == den*q, else raise NonDivisibleError.
 
     Long division cancelling leading terms under lex order, on packed
@@ -395,6 +400,7 @@ def exact_divide(num, den):
     has degree deg_v(num) - deg_v(den) in each variable v, so a quotient term
     above that bound proves non-divisibility. The check also keeps every
     remainder exponent within 0..deg_v(num), so packed fields never carry.
+    `check`, when given, is called after every quotient term.
     """
     if den.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
@@ -440,6 +446,8 @@ def exact_divide(num, den):
             else:
                 rem[k] = -c * cdd
                 heappush(heap, -k)
+        if check is not None:
+            check()
     return MultivariatePolynomial(variables, _unpack(q, nv, width))
 
 
@@ -478,12 +486,14 @@ def _univ_to_poly(coeffs, name, variables):
     return out
 
 
-def pseudo_rem(f, g, name):
+def pseudo_rem(f, g, name, check=None):
     """The pseudo-remainder of f by g in `name`, without the quotient.
 
     lc(g)**d * f == q*g + r with deg_name(r) < deg_name(g), where
-    d = deg f - deg g + 1; f itself when d <= 0.
+    d = deg f - deg g + 1; f itself when d <= 0. `check`, when given, is
+    called after every product of coefficient polynomials.
     """
+    check = check or (lambda: None)
     f._check_compatible(g)
     R = _univ(f, name)
     G = _univ(g, name)
@@ -502,12 +512,18 @@ def pseudo_rem(f, g, name):
             break
         # R <- lc*R - t*x^(k-n)*G; the x^k coefficient lc*t - t*lc is 0
         t = R.pop()
-        R = [lc * c for c in R]
+        for j, c in enumerate(R):
+            R[j] = lc * c
+            check()
         for j, gc in enumerate(G, k - n):
             R[j] = R[j] - t * gc
+            check()
         steps += 1
     scale = lc ** (m - n + 1 - steps)
-    return _univ_to_poly([c * scale for c in R], name, f.variables)
+    for j, c in enumerate(R):
+        R[j] = c * scale
+        check()
+    return _univ_to_poly(R, name, f.variables)
 
 
 # ---------------- resultant (subresultant PRS) ----------------
@@ -517,7 +533,8 @@ def resultant(p, q, name, check=None):
 
     Subresultant PRS (Brown's algorithm); raises ValueError when both inputs
     are degenerate (degree <= 0 in `name`). `check`, when given, is called
-    after every pseudo-remainder step, so it can abort a long resultant.
+    inside every pseudo-remainder and exact division, so it can abort a long
+    resultant.
     """
     p._check_compatible(q)
     n = p.degree(name)
@@ -544,8 +561,8 @@ def _subresultant_prs(f, g, name, check=None):
     Yields (member, s) for g and then for every nonzero pseudo-remainder,
     s being the member's subresultant coefficient. The sequence ends after a
     member free of `name`, whose s is res(f, g), or at a zero remainder,
-    when the last member is gcd(f, g) up to content. `check` is called
-    after every pseudo-remainder step.
+    when the last member is gcd(f, g) up to content. `check` is passed to
+    every pseudo-remainder and exact division.
     """
     m = g.degree(name)
     d = f.degree(name) - m
@@ -556,16 +573,14 @@ def _subresultant_prs(f, g, name, check=None):
         yield g, -c
         if m == 0:
             return
-        h = exact_divide(pseudo_rem(f, g, name), bb)
-        if check is not None:
-            check()
+        h = exact_divide(pseudo_rem(f, g, name, check), bb, check)
         if h.is_zero:
             return
         k = h.degree(name)
         f, g, d, m = g, h, m - k, k
         bb = -lc * (c**d)
         lc = g.coefficient_of(name, m)
-        c = exact_divide((-lc) ** d, c ** (d - 1)) if d > 1 else -lc
+        c = exact_divide((-lc) ** d, c ** (d - 1), check) if d > 1 else -lc
 
 
 # ---------------- gcd and square-free part ----------------
@@ -575,8 +590,8 @@ def polynomial_gcd(p, q, check=None):
 
     A random-evaluation screen settles the common trivial case in one
     univariate gcd; a genuinely nontrivial gcd falls through to Brown's
-    subresultant remainder sequence, which calls `check` (if given) after
-    every pseudo-remainder step.
+    subresultant remainder sequence. `check`, when given, is passed to every
+    pseudo-remainder and exact division.
     """
     if p.is_zero:
         return q.primitive()
@@ -700,17 +715,17 @@ def _content_primitive(p, name, check=None):
         return cont, p
     if cont.is_constant():
         return MultivariatePolynomial.constant(p.variables, 1), p.primitive()
-    return cont, exact_divide(p, cont).primitive()
+    return cont, exact_divide(p, cont, check).primitive()
 
 
 def squarefree_part(p, name, check=None):
     """p with repeated factors (in `name`) removed, integer-primitive.
 
-    `check` is passed on to polynomial_gcd.
+    `check` is passed on to polynomial_gcd and exact_divide.
     """
     if p.degree(name) <= 0:
         return p.primitive() if not p.is_zero else p
     g = polynomial_gcd(p, p.derivative(name), check)
     if g.is_constant():
         return p.primitive()
-    return exact_divide(p, g).primitive()
+    return exact_divide(p, g, check).primitive()

@@ -139,10 +139,13 @@ class TruncatedSeries:
 
 
 def evaluate_bivariate(poly, f):
-    """P(x, f(x)) as a TruncatedSeries at f's cutoff, computed exactly."""
+    """P(x, f(x)) as a TruncatedSeries at f's cutoff, computed exactly.
+
+    `poly` is a MultivariatePolynomial over ("x", "F").
+    """
     n = f.cutoff
     powers = [TruncatedSeries.one(n)]
-    for _ in range(poly.deg_f()):
+    for _ in range(poly.degree("F")):
         powers.append(powers[-1] * f)
     acc = [0] * n
     for (a, b), c in poly.terms.items():

@@ -200,7 +200,9 @@ BAD_INPUTS = [
     (("asympt", "--r", "2", "--nmax", "20"), EXIT_INSUFFICIENT, "terms"),
     (("asympt", "--r", "2", "--tol", "-1"), EXIT_ERROR, "--tol"),
     (("asympt", "--r", "2", "--tol", "0"), EXIT_ERROR, "--tol"),
-    (("count", "--r", "2", "--nmax", "3", "--method", "brute", "--cap", "-1"), EXIT_CAP, "cap"),
+    (("count", "--r", "2", "--nmax", "3", "--method", "brute", "--cap", "-1"), EXIT_ERROR, "--cap"),
+    (("count", "--r", "1", "--nmax", "0", "--method", "brute", "--cap", "-1"), EXIT_ERROR, "--cap"),
+    (("count", "--r", "2", "--nmax", "3", "--method", "brute", "--cap", "5"), EXIT_CAP, "cap"),
     (("eliminate", "--r", "2", "--timeout", "0"), EXIT_TIMEOUT, "time"),
     (("eliminate", "--r", "2", "--timeout", "-1"), EXIT_ERROR, "--timeout"),
 ]

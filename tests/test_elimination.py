@@ -1,18 +1,19 @@
+from itertools import chain, repeat
 from types import SimpleNamespace
 
 import pytest
 
 from avoidwords import elimination, polynomials
-from avoidwords.bivariate import BivariatePolynomial as BP
 from avoidwords.elimination import (
+    EliminationTimeout,
     compress_exponents,
     eliminate,
+    f_major,
     match_equation,
     verify_annihilation,
     InsufficientSeriesError,
 )
 from avoidwords.fixtures import reference_equation
-from avoidwords.groebner import EliminationTimeout
 from avoidwords.polynomials import (
     MultivariatePolynomial as MP,
     NonDivisibleError,
@@ -90,13 +91,25 @@ def test_spec_resultant_example_vs_sylvester():
 def test_compress_identity_for_r1():
     q = MP(("x", "G0_0"), {(1, 2): 1, (0, 1): -1, (0, 0): 1})
     p = compress_exponents(q, 1)
-    assert p == BP({(1, 2): 1, (0, 1): -1, (0, 0): 1})
+    assert p == MP(("x", "F"), {(1, 2): 1, (0, 1): -1, (0, 0): 1})
 
 
 def test_compress_r2_warmup():
     q = eliminate(build_scheme(2), "buchberger")
     p = compress_exponents(q, 2)
     assert p == reference_equation(2)
+
+
+def test_canonical_sign_follows_the_f_major_lead():
+    # the lex (x-major) lead x^2*F and the F-major lead x*F^2 have opposite
+    # signs, so integer-primitive with a positive lex lead is not canonical
+    lex_form = MP(("x", "F"), {(2, 1): 1, (1, 2): -3})
+    want = MP(("x", "F"), {(1, 2): 3, (2, 1): -1})
+    p = compress_exponents(MP(("x", "G0_0"), {(2, 1): 1, (1, 2): -3}), 1)
+    assert p == want and p.to_text(f_major) == "3*x*F^2 - x^2*F"
+    assert compress_exponents(MP(("x", "G0_0"), {(4, 1): -2, (2, 2): 6}), 2) == want
+    assert match_equation(lex_form, want).status == "equal"
+    assert match_equation(want, lex_form).status == "equal"
 
 
 def test_compress_rejects_mixed_exponents():
@@ -140,7 +153,7 @@ def test_match_identical():
 
 def test_match_proper_multiple():
     ref = reference_equation(1)
-    cofactor = BP({(1, 1): 1, (0, 0): 1})  # x*F + 1
+    cofactor = MP(("x", "F"), {(1, 1): 1, (0, 0): 1})  # x*F + 1
     m = match_equation(ref * cofactor, ref)
     assert m.status == "proper-multiple"
     assert m.quotient == cofactor
@@ -181,3 +194,28 @@ def test_resultant_chain_checks_its_budget_after_every_prs_step(monkeypatch):
     with pytest.raises(EliminationTimeout):
         eliminate(build_scheme(3), "resultants", timeout=10)
     assert len(steps) == 1 and finished == []
+
+
+def test_deadline_interrupts_a_pseudo_remainder(monkeypatch):
+    now = [0.0]
+    monkeypatch.setattr(elimination, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    calls, returned = [], []
+    pseudo_rem = polynomials.pseudo_rem
+
+    def overrun_during_first_call(*args):
+        calls.append(args)
+        now[0] = 100.0  # the deadline passes while this call runs
+        returned.append(pseudo_rem(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(polynomials, "pseudo_rem", overrun_during_first_call)
+    with pytest.raises(EliminationTimeout):
+        eliminate(build_scheme(3), "resultants", timeout=10)
+    assert len(calls) == 1 and returned == []
+
+
+def test_buchberger_checks_the_same_deadline(monkeypatch):
+    clock = chain([0.0], repeat(100.0))  # past the deadline after the start
+    monkeypatch.setattr(elimination, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+    with pytest.raises(EliminationTimeout):
+        eliminate(build_scheme(2), "buchberger", timeout=10)

@@ -10,23 +10,24 @@ from importlib import resources
 
 import pytest
 
-from avoidwords.elimination import verify_annihilation
+from avoidwords.elimination import canonical_equation, verify_annihilation
 from avoidwords.fixtures import (
     load_cached_recurrence,
     reference_equation,
     reference_recurrence,
 )
-from avoidwords.bivariate import BivariatePolynomial
 from avoidwords.guessing import LinearRecurrence, verify_recurrence
+from avoidwords.polynomials import MultivariatePolynomial
 from avoidwords.scheme import word_counts
 
-X = BivariatePolynomial({(1, 0): 1})
-F = BivariatePolynomial({(0, 1): 1})
-ONE = BivariatePolynomial({(0, 0): 1})
+XF = ("x", "F")
+X = MultivariatePolynomial(XF, {(1, 0): 1})
+F = MultivariatePolynomial(XF, {(0, 1): 1})
+ONE = MultivariatePolynomial(XF, {(0, 0): 1})
 
 
 def _c(n):
-    return BivariatePolynomial({(0, 0): n})
+    return MultivariatePolynomial(XF, {(0, 0): n})
 
 
 def _xpoly(*coeffs):
@@ -36,24 +37,24 @@ def _xpoly(*coeffs):
     for k, c in enumerate(coeffs):
         if c:
             out[(deg - k, 0)] = c
-    return BivariatePolynomial(out)
+    return MultivariatePolynomial(XF, out)
 
 
 def _build_equation(r):
     if r == 1:
-        return (X * F**2 - F + ONE).canonical()
+        return canonical_equation(X * F**2 - F + ONE)
     if r == 2:
-        return (ONE - (2 * X + ONE) * F**2 + X * (X + _c(4)) * F**4).canonical()
+        return canonical_equation(ONE - (2 * X + ONE) * F**2 + X * (X + _c(4)) * F**4)
     if r == 3:
-        return (
+        return canonical_equation(
             (4 * X + ONE) ** 2
             + _xpoly(64, 48, -1) * F**2
             - 2 * X * _xpoly(128, 108, 27) * F**4
             - 16 * X**2 * _xpoly(32, 27) * F**6
             + X**2 * _xpoly(32, 27) ** 2 * F**8
-        ).canonical()
+        )
     assert r == 4
-    return (
+    return canonical_equation(
         X**3 * _xpoly(5, -256) ** 4 * _xpoly(4, 1) ** 4 * F**16
         + 4 * X**3 * _xpoly(85, 58) * _xpoly(5, -256) ** 3 * _xpoly(4, 1) ** 3 * F**14
         + 2 * X**2 * _xpoly(200, 11845, 8658, 6503, 256)
@@ -69,7 +70,7 @@ def _build_equation(r):
         + _xpoly(42500, -1521500, -6516800, -7480160, -276672,
                  461716, 49271, -1024) * F**2
         + X * _xpoly(1, 1) ** 2 * _xpoly(25, 65, 11) ** 2
-    ).canonical()
+    )
 
 
 def _npoly(*factors):
@@ -135,7 +136,7 @@ def _data(name):
 def test_equation_files_match_builders(r):
     data = _data(f"equation_r{r}.json")
     assert data["status"] == "reference"
-    assert BivariatePolynomial.from_json(data["polynomial"]) == _build_equation(r)
+    assert MultivariatePolynomial.from_json(data["polynomial"]) == _build_equation(r)
     assert reference_equation(r) == _build_equation(r)
 
 
@@ -157,17 +158,17 @@ def test_cached_recurrences_are_marked_and_verify(r):
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_reference_equations_canonical_and_annihilating(r):
     p = reference_equation(r)
-    assert p.is_canonical()
-    cutoff = max(50, 2 * (p.deg_x() + p.deg_f()) + 1)
+    assert p == canonical_equation(p)
+    cutoff = max(50, 2 * (p.degree("x") + p.degree("F")) + 1)
     series = word_counts(r, cutoff).generating_series()
     assert verify_annihilation(p, series)
 
 
 def test_equation_degrees():
-    assert (reference_equation(1).deg_x(), reference_equation(1).deg_f()) == (1, 2)
-    assert (reference_equation(2).deg_x(), reference_equation(2).deg_f()) == (2, 4)
-    assert (reference_equation(3).deg_x(), reference_equation(3).deg_f()) == (4, 8)
-    assert (reference_equation(4).deg_x(), reference_equation(4).deg_f()) == (11, 16)
+    assert (reference_equation(1).degree("x"), reference_equation(1).degree("F")) == (1, 2)
+    assert (reference_equation(2).degree("x"), reference_equation(2).degree("F")) == (2, 4)
+    assert (reference_equation(3).degree("x"), reference_equation(3).degree("F")) == (4, 8)
+    assert (reference_equation(4).degree("x"), reference_equation(4).degree("F")) == (11, 16)
 
 
 def test_fixture_payload_shapes():

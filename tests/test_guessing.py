@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from avoidwords import linalg
-from avoidwords.bivariate import BivariatePolynomial as BP
 from avoidwords.elimination import match_equation
 from avoidwords.fixtures import reference_equation, reference_recurrence
 from avoidwords.guessing import (
@@ -17,6 +16,7 @@ from avoidwords.guessing import (
     guess_recurrence,
     verify_recurrence,
 )
+from avoidwords.polynomials import MultivariatePolynomial as MP
 from avoidwords.scheme import CountSequence, word_counts
 from avoidwords.series import TruncatedSeries
 
@@ -173,7 +173,7 @@ def test_catalan_equation_guessed():
 def test_geometric_series_equation():
     geo = TruncatedSeries([1] * 25, 25)
     p = guess_algebraic(geo, 1, 1)
-    assert p == BP({(1, 1): 1, (0, 1): -1, (0, 0): 1})  # canonical (1-x)F - 1
+    assert p == MP(("x", "F"), {(1, 1): 1, (0, 1): -1, (0, 0): 1})  # canonical (1-x)F - 1
 
 
 def test_r2_equation_recovered_from_series():

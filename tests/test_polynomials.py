@@ -8,6 +8,7 @@ from avoidwords.polynomials import (
     NonDivisibleError,
     exact_divide,
     polynomial_gcd,
+    pseudo_rem,
     resultant,
     squarefree_part,
 )
@@ -218,8 +219,10 @@ def stop():
         lambda check: resultant(X**2 * Y + 1, X * Y**2 + X + 3, "x", check),
         lambda check: polynomial_gcd((X + Y) * (X**2 + 2), (X + Y) * (X - 3), check),
         lambda check: squarefree_part((X + Y) ** 2 * (X - Y), "x", check),
+        lambda check: pseudo_rem(X**3 + Y, X * Y + 1, "x", check),
+        lambda check: exact_divide((X + Y) ** 3, X + Y, check),
     ],
-    ids=["resultant", "polynomial_gcd", "squarefree_part"],
+    ids=["resultant", "polynomial_gcd", "squarefree_part", "pseudo_rem", "exact_divide"],
 )
 def test_check_runs_after_a_prs_step(run):
     assert run(None) is not None
