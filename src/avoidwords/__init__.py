@@ -28,7 +28,6 @@ from .words import (
 )
 from .scheme import (
     AlgebraicScheme,
-    CountSequence,
     SeriesSolution,
     build_scheme,
     solve_series,
@@ -44,10 +43,8 @@ from .elimination import (
 )
 from .guessing import (
     LinearRecurrence,
-    extend_with_recurrence,
     guess_algebraic,
     guess_recurrence,
-    verify_recurrence,
 )
 from .asymptotics import AsymptoticReport, conjecture_check, growth_ratio, fit_constant
 from .fixtures import reference_equation, reference_recurrence, load_cached_recurrence
@@ -61,7 +58,6 @@ __all__ = [
     "count_avoiders_recurrence",
     "avoidance_involution",
     "AlgebraicScheme",
-    "CountSequence",
     "SeriesSolution",
     "build_scheme",
     "solve_series",
@@ -76,8 +72,6 @@ __all__ = [
     "LinearRecurrence",
     "guess_recurrence",
     "guess_algebraic",
-    "verify_recurrence",
-    "extend_with_recurrence",
     "AsymptoticReport",
     "conjecture_check",
     "growth_ratio",

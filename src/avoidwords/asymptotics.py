@@ -13,12 +13,14 @@ import mpmath
 from mpmath import mp, mpf
 
 from .fixtures import load_cached_recurrence
-from .guessing import extend_with_recurrence, verify_recurrence
-from .scheme import CountSequence, word_counts
+from .scheme import word_counts
 
 PRECISION_BITS = 128
 RICHARDSON_DEPTH = 3
+QUOTIENT_DEPTH = 2  # the exponent and 1/n fits, on quotients of neighbouring terms
 TAIL_POINTS = 8
+# scheme terms a cached recurrence must reproduce before it extends them
+CHECK_TERMS = 30
 
 
 class TooFewTermsError(ValueError):
@@ -70,21 +72,19 @@ def _richardson(values, indices, depth):
     return table[-1]
 
 
-def _tail_indices(nmax, count):
-    start = nmax - count + 1
-    return list(range(start, nmax + 1))
+def _tail(stop, depth):
+    """The TAIL_POINTS + depth indices just below `stop`."""
+    return list(range(stop - TAIL_POINTS - depth, stop))
 
 
-def growth_ratio(seq, depth=RICHARDSON_DEPTH, points=TAIL_POINTS):
-    """Extrapolated limit of w(n)/w(n-1) from the tail of the sequence."""
-    terms = seq.terms if isinstance(seq, CountSequence) else list(seq)
+def growth_ratio(terms):
+    """Extrapolated limit of w(n)/w(n-1) from the tail of the terms."""
     if len(terms) < 50:
         raise TooFewTermsError("need at least 50 terms for a growth estimate")
-    nmax = len(terms) - 1
-    idx = _tail_indices(nmax, points + depth)
+    idx = _tail(len(terms), RICHARDSON_DEPTH)
     with mp.workprec(PRECISION_BITS):
         ratios = [_frac_to_mpf(Fraction(terms[n], terms[n - 1])) for n in idx]
-        return _richardson(ratios, idx, depth)
+        return _richardson(ratios, idx, RICHARDSON_DEPTH)
 
 
 def _normalized_terms(terms, indices, growth, exponent):
@@ -97,23 +97,19 @@ def _normalized_terms(terms, indices, growth, exponent):
         return out
 
 
-def fit_constant(seq, growth, exponent, depth=RICHARDSON_DEPTH, points=TAIL_POINTS):
+def fit_constant(terms, growth, exponent):
     """Extrapolated limit of w(n) / (growth^n * n^exponent)."""
-    terms = seq.terms if isinstance(seq, CountSequence) else list(seq)
     if growth <= 0:
         raise ValueError("growth must be positive")
-    nmax = len(terms) - 1
-    idx = _tail_indices(nmax, points + depth)
+    idx = _tail(len(terms), RICHARDSON_DEPTH)
     with mp.workprec(PRECISION_BITS):
         u = _normalized_terms(terms, idx, growth, mpf(exponent))
-        return _richardson(u, idx, depth)
+        return _richardson(u, idx, RICHARDSON_DEPTH)
 
 
-def fit_exponent(seq, growth, depth=2, points=TAIL_POINTS):
+def fit_exponent(terms, growth):
     """Free fit of e in w(n) ~ C * growth^n * n^e."""
-    terms = seq.terms if isinstance(seq, CountSequence) else list(seq)
-    nmax = len(terms) - 1
-    idx = _tail_indices(nmax, points + depth)
+    idx = _tail(len(terms), QUOTIENT_DEPTH)
     with mp.workprec(PRECISION_BITS):
         g = mpf(growth)
         es = []
@@ -121,18 +117,17 @@ def fit_exponent(seq, growth, depth=2, points=TAIL_POINTS):
             vn = mpf(terms[n]) / g**n
             vp = mpf(terms[n - 1]) / g ** (n - 1)
             es.append(mpmath.log(vn / vp) / mpmath.log(mpf(n) / (n - 1)))
-        return _richardson(es, idx, depth)
+        return _richardson(es, idx, QUOTIENT_DEPTH)
 
 
-def fit_first_correction(seq, growth, exponent, depth=2, points=TAIL_POINTS):
+def fit_first_correction(terms, growth, exponent):
     """Extrapolated c1 in w(n) ~ C growth^n n^exponent (1 + c1/n + ...).
 
     Uses -n(n+1)*(u(n+1)/u(n) - 1) = c1 + O(1/n), which sidesteps the fitted
     constant entirely.
     """
-    terms = seq.terms if isinstance(seq, CountSequence) else list(seq)
     nmax = len(terms) - 1
-    idx = _tail_indices(nmax - 1, points + depth)
+    idx = _tail(nmax, QUOTIENT_DEPTH)
     with mp.workprec(PRECISION_BITS):
         u = _normalized_terms(terms, list(range(idx[0], nmax + 1)), growth, mpf(exponent))
         base = idx[0]
@@ -141,7 +136,7 @@ def fit_first_correction(seq, growth, exponent, depth=2, points=TAIL_POINTS):
             un = u[n - base]
             un1 = u[n + 1 - base]
             vals.append(-mpf(n) * (n + 1) * (un1 / un - 1))
-        return _richardson(vals, idx, depth)
+        return _richardson(vals, idx, QUOTIENT_DEPTH)
 
 
 @dataclass
@@ -198,10 +193,10 @@ class AsymptoticReport:
         return lines
 
 
-def sequence_for(r, nmax, verify_terms=30):
+def sequence_for(r, nmax):
     """Terms w_r(0..nmax) and the path that made them.
 
-    Returns (CountSequence, source). A cached recurrence is preferred: it is
+    Returns (list of terms, source). A cached recurrence is preferred: it is
     re-verified against freshly computed scheme terms before it is trusted
     for the long extension (source "recurrence-extension"). With no cached
     recurrence, or when the check terms already reach nmax, the terms are
@@ -213,21 +208,21 @@ def sequence_for(r, nmax, verify_terms=30):
         rec = None
     if rec is None:
         return word_counts(r, nmax), "scheme-series"
-    check_len = max(verify_terms, rec.order + 10)
+    check_len = max(CHECK_TERMS, rec.order + 10)
     initial = word_counts(r, check_len)
-    if not verify_recurrence(rec, initial):
+    if not rec.verify(initial):
         raise ArithmeticError(f"cached recurrence for r={r} fails on fresh terms")
     if nmax <= check_len:
-        return CountSequence(r=r, terms=initial.terms[: nmax + 1]), "scheme-series"
-    return extend_with_recurrence(rec, initial, nmax), "recurrence-extension"
+        return initial[: nmax + 1], "scheme-series"
+    return rec.extend(initial, nmax), "recurrence-extension"
 
 
 def conjecture_check(r, nmax=2000, tol=0.01, seq=None):
-    """Full asymptotic report for one r, with the growth pass/fail verdict."""
+    """Growth report for w_r(0..nmax), or for the term list `seq` when given."""
     if seq is None:
         seq, source = sequence_for(r, nmax)
     else:
-        nmax, source = len(seq.terms) - 1, "supplied"
+        nmax, source = len(seq) - 1, "supplied"
     with mp.workprec(PRECISION_BITS):
         growth = growth_ratio(seq)
         target = conjectured_growth(r)

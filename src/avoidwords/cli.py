@@ -37,7 +37,8 @@ from .guessing import (
     guess_recurrence,
 )
 from .polynomials import MultivariatePolynomial
-from .scheme import CountSequence, build_scheme, word_counts
+from .scheme import build_scheme, word_counts
+from .series import TruncatedSeries
 from .words import (
     P123,
     BruteForceCapError,
@@ -76,22 +77,24 @@ def _emit_json(command, parameters, result):
     print(json.dumps(doc, indent=1, sort_keys=True))
 
 
+def _counts_json(r, terms):
+    return {"r": r, "terms": [str(t) for t in terms]}
+
+
 def _counts_via(method, r, nmax, cap, cache):
     if method == "scheme":
         cached = cache.load("sequence", r, {"nmax": nmax, "method": "scheme"})
         if cached is not None:
-            return CountSequence.from_json(cached)
-        seq = word_counts(r, nmax)
-        cache.store("sequence", r, {"nmax": nmax, "method": "scheme"}, seq.to_json())
-        return seq
+            return [int(t) for t in cached["terms"]]
+        terms = word_counts(r, nmax)
+        cache.store("sequence", r, {"nmax": nmax, "method": "scheme"}, _counts_json(r, terms))
+        return terms
     if method == "brute":
         if r * nmax > cap:
             raise BruteForceCapError(f"r*nmax = {r * nmax} exceeds cap {cap}")
-        terms = [count_avoiders_bruteforce((r,) * n, P123, cap=cap) for n in range(nmax + 1)]
-        return CountSequence(r=r, terms=terms)
+        return [count_avoiders_bruteforce((r,) * n, P123, cap=cap) for n in range(nmax + 1)]
     if method == "recurrence":
-        terms = [count_avoiders_recurrence((r,) * n) for n in range(nmax + 1)]
-        return CountSequence(r=r, terms=terms)
+        return [count_avoiders_recurrence((r,) * n) for n in range(nmax + 1)]
     if method == "linear-rec":
         try:
             load_cached_recurrence(r)
@@ -105,18 +108,18 @@ def _counts_via(method, r, nmax, cap, cache):
 
 def cmd_count(args):
     cache = Cache(args.cache_dir, enabled=not args.no_cache)
-    seq = _counts_via(args.method, args.r, args.nmax, args.cap, cache)
+    terms = _counts_via(args.method, args.r, args.nmax, args.cap, cache)
     if args.format == "text":
-        print(" ".join(str(t) for t in seq.terms))
+        print(" ".join(str(t) for t in terms))
     elif args.format == "json":
         _emit_json(
             "count",
             {"r": args.r, "nmax": args.nmax, "method": args.method},
-            seq.to_json(),
+            _counts_json(args.r, terms),
         )
     elif args.format == "bfile":
         print(f"# w_r(n) for r={args.r}; offset 0: w_r(0)=1")
-        for n, t in enumerate(seq.terms):
+        for n, t in enumerate(terms):
             print(f"{n} {t}")
     return EXIT_OK
 
@@ -152,7 +155,7 @@ def cmd_eliminate(args):
         if verdict == "mismatch":
             exit_code = EXIT_VERIFICATION
     cutoff = max(50, 2 * (equation.degree("x") + equation.degree("F")) + 1)
-    series = word_counts(args.r, cutoff).generating_series()
+    series = TruncatedSeries(word_counts(args.r, cutoff))
     annihilates = verify_annihilation(equation, series)
     if not annihilates:
         exit_code = EXIT_VERIFICATION
@@ -179,7 +182,7 @@ def cmd_eliminate(args):
 def cmd_guess(args):
     if args.algebraic:
         nterms = args.terms or (args.max_deg_x + 1) * (args.max_deg_f + 1) + 12
-        series = word_counts(args.r, nterms - 1).generating_series()
+        series = TruncatedSeries(word_counts(args.r, nterms - 1))
         poly = guess_algebraic(series, args.max_deg_x, args.max_deg_f)
         if poly is None:
             print("no algebraic equation found within the bounds", file=sys.stderr)

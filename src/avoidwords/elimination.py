@@ -10,8 +10,6 @@ MultivariatePolynomial over ("x", "F") in the form `canonical_equation` gives.
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 
 from .groebner import block_elimination_key, groebner_basis
 from .polynomials import (
@@ -26,6 +24,7 @@ from .scheme import scheme_pairs, solve_series, variable_name
 from .series import TruncatedSeries, evaluate_bivariate, evaluate_polynomial_on_series
 
 DEFAULT_TIMEOUT = 120.0
+ANNIHILATION_MARGIN = 2  # times deg_x + deg_F; a shorter cutoff accepts junk
 
 
 class EliminationTimeout(TimeoutError):
@@ -38,19 +37,6 @@ class EmptyEliminationError(ArithmeticError):
 
 class InsufficientSeriesError(ValueError):
     """The series is too short for a meaningful annihilation check."""
-
-
-def _integer_terms(poly):
-    """Clear denominators, returning {exps: int}."""
-    den = 1
-    for c in poly.terms.values():
-        f = Fraction(c)
-        den = den * f.denominator // gcd(den, f.denominator)
-    out = {}
-    for e, c in poly.terms.items():
-        f = Fraction(c) * den
-        out[e] = int(f)
-    return out
 
 
 def eliminate(scheme, backend="buchberger", timeout=DEFAULT_TIMEOUT):
@@ -87,7 +73,7 @@ def _eliminate_buchberger(scheme, check):
     elim_positions = [k for k, v in enumerate(variables) if v not in keep]
     kept_positions = [variables.index(variable_name((0, 0))), variables.index("x")]
     key_fn = block_elimination_key(len(variables), elim_positions, kept_positions)
-    gens = [_integer_terms(poly) for poly in scheme.equations.values()]
+    gens = [poly.primitive().terms for poly in scheme.equations.values()]
     basis = groebner_basis(gens, key_fn, check)
     for p in basis:  # sorted by leading monomial, smallest first
         if all(all(e[pos] == 0 for pos in elim_positions) for e in p):
@@ -127,7 +113,7 @@ def _eliminate_resultants(scheme, check):
             check()
             res = resultant(pivot, q, name, check)
             if res.is_zero:
-                res = _split_common_factor(scheme, pivot, q, name, check)
+                res = _split_common_factor(scheme.r, pivot, q, name, check)
                 if res is None:
                     continue
             res = res.strip_monomial_content().primitive()
@@ -143,7 +129,7 @@ def _eliminate_resultants(scheme, check):
     return best.restrict_variables(("x", variable_name((0, 0)))).primitive()
 
 
-def _split_common_factor(scheme, pivot, q, name, check):
+def _split_common_factor(r, pivot, q, name, check):
     """Salvage a vanishing resultant: pivot and q share a factor in `name`.
 
     The shared factor is kept when it vanishes on the series solution
@@ -153,8 +139,8 @@ def _split_common_factor(scheme, pivot, q, name, check):
     g = polynomial_gcd(pivot, q, check)
     if g.is_constant():
         return None
-    cutoff = 12 * scheme.r + 1
-    sol = solve_series(scheme, cutoff)
+    cutoff = 12 * r + 1
+    sol = solve_series(r, cutoff)
     assignment = {"x": TruncatedSeries.x(cutoff)}
     for pair, s in sol.series.items():
         assignment[variable_name(pair)] = s
@@ -198,13 +184,12 @@ def compress_exponents(poly, r):
     return canonical_equation(MultivariatePolynomial(("x", "F"), pairs.terms))
 
 
-def verify_annihilation(poly, f, margin_factor=2.0):
+def verify_annihilation(poly, f):
     """True iff poly(x, f(x)) vanishes identically modulo x^cutoff.
 
-    Requires the cutoff to exceed margin_factor*(deg_x + deg_F); anything
-    shorter would accept junk.
+    Requires the cutoff to reach ANNIHILATION_MARGIN * (deg_x + deg_F).
     """
-    need = int(margin_factor * (poly.degree("x") + poly.degree("F")))
+    need = ANNIHILATION_MARGIN * (poly.degree("x") + poly.degree("F"))
     if f.cutoff < need:
         raise InsufficientSeriesError(
             f"series cutoff {f.cutoff} below required margin {need}"

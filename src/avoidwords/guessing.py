@@ -20,10 +20,10 @@ import numpy as np
 from .elimination import canonical_equation
 from .linalg import integer_kernel
 from .polynomials import MultivariatePolynomial
-from .scheme import CountSequence
 from .series import TruncatedSeries, evaluate_bivariate
 
-DEFAULT_MARGIN = 10
+# trailing terms or coefficients held out of every fit and checked first
+HOLDOUT = 10
 
 
 class InsufficientTermsError(ValueError):
@@ -69,10 +69,6 @@ class LinearRecurrence:
     @property
     def order(self):
         return len(self.coeffs) - 1
-
-    @property
-    def degree(self):
-        return max(len(p) - 1 for p in self.coeffs)
 
     @classmethod
     def from_kernel_vector(cls, vec, order, degree):
@@ -144,24 +140,6 @@ class LinearRecurrence:
         return cls(tuple(tuple(int(c) for c in p) for p in data["coefficients"]))
 
 
-def verify_recurrence(rec, seq):
-    """Exact check of the recurrence against a CountSequence (or term list)."""
-    terms = seq.terms if isinstance(seq, CountSequence) else list(seq)
-    return rec.verify(terms)
-
-
-def extend_with_recurrence(rec, initial, nmax):
-    """CountSequence extension of `initial` out to index nmax."""
-    if isinstance(initial, CountSequence):
-        r = initial.r
-        terms = initial.terms
-    else:
-        r = None
-        terms = list(initial)
-    out = rec.extend(terms, nmax)
-    return CountSequence(r=r, terms=out) if r is not None else out
-
-
 # ---------------- the search shared by both guessers ----------------
 
 def _first_verified(max_i, max_j, candidates, coefficients, verify):
@@ -186,34 +164,33 @@ def _first_verified(max_i, max_j, candidates, coefficients, verify):
 
 # ---------------- the (order, degree) search ----------------
 
-def guess_recurrence(seq, max_order, max_degree, margin=DEFAULT_MARGIN):
+def guess_recurrence(terms, max_order, max_degree):
     """Smallest verified recurrence within the bounds, or None.
 
     Candidates are tried by increasing order+degree (ties: smaller order);
-    a fit must also annihilate `margin` held-out trailing terms, then the
-    whole sequence, before it is accepted. When a candidate system has a
-    kernel of dimension above one, the basis vector with the smallest total
-    coefficient bit size wins.
+    a fit must also annihilate the HOLDOUT trailing terms it was not fitted
+    on, then the whole list, before it is accepted. When a candidate system
+    has a kernel of dimension above one, the basis vector with the smallest
+    total coefficient bit size wins.
     """
-    terms = seq.terms if isinstance(seq, CountSequence) else list(seq)
-    need = (max_order + 1) * (max_degree + 1) + max_order + margin
+    need = (max_order + 1) * (max_degree + 1) + max_order + HOLDOUT
     if len(terms) < need:
         raise InsufficientTermsError(
             f"{len(terms)} terms supplied; bounds require at least {need}"
         )
     return _first_verified(
         max_order, max_degree,
-        lambda order, degree: _recurrence_candidates(terms, order, degree, margin),
+        lambda order, degree: _recurrence_candidates(terms, order, degree),
         lambda rec: chain.from_iterable(rec.coeffs),
         lambda rec: rec.verify(terms),
     )
 
 
-def _recurrence_candidates(terms, order, degree, margin):
+def _recurrence_candidates(terms, order, degree):
     """Kernel recurrences of exactly this order and degree bound; none when
     too few terms remain to fit the box."""
     width = (order + 1) * (degree + 1)
-    rows = min(width + 4, len(terms) - margin - order)
+    rows = min(width + 4, len(terms) - HOLDOUT - order)
     if rows < width - 1:
         return []
     kernel = integer_kernel(lambda p: _recurrence_matrix(terms, order, degree, rows, p))
@@ -235,14 +212,14 @@ def _recurrence_matrix(terms, order, degree, rows, p):
 
 # ---------------- direct algebraic-equation guessing ----------------
 
-def guess_algebraic(series, max_deg_x, max_deg_f, margin=DEFAULT_MARGIN):
+def guess_algebraic(series, max_deg_x, max_deg_f):
     """Smallest P over (x, F) with P(x, f) = 0 mod the cutoff, or None.
 
     Cross-check of the elimination route: works straight from the series'
-    integer coefficients, holdout-checked on the final `margin` coefficients
+    integer coefficients, holdout-checked on the final HOLDOUT coefficients
     and then checked exactly up to the cutoff.
     """
-    need = (max_deg_x + 1) * (max_deg_f + 1) + margin
+    need = (max_deg_x + 1) * (max_deg_f + 1) + HOLDOUT
     if series.cutoff < need:
         raise InsufficientTermsError(
             f"cutoff {series.cutoff} below required {need} for these bounds"
@@ -259,17 +236,17 @@ def guess_algebraic(series, max_deg_x, max_deg_f, margin=DEFAULT_MARGIN):
 
     return _first_verified(
         max_deg_f, max_deg_x,
-        lambda df, dx: _algebraic_candidates(series, powers_mod, dx, df, margin),
+        lambda df, dx: _algebraic_candidates(series, powers_mod, dx, df),
         lambda poly: poly.terms.values(),
         lambda poly: evaluate_bivariate(poly, series).is_zero(),
     )
 
 
-def _algebraic_candidates(series, powers_mod, dx, df, margin):
+def _algebraic_candidates(series, powers_mod, dx, df):
     """Canonical kernel equations within (dx, df); none when too few
     coefficients remain to fit the box."""
     width = (dx + 1) * (df + 1)
-    rows = min(width + 4, series.cutoff - margin)
+    rows = min(width + 4, series.cutoff - HOLDOUT)
     if rows < width - 1:
         return []
     kernel = integer_kernel(lambda p: _algebraic_matrix(powers_mod(p), dx, df, rows))

@@ -70,8 +70,7 @@ class MultivariatePolynomial:
     """A polynomial in named variables, stored as {exponent tuple: coefficient}.
 
     Zero coefficients are never stored; the zero polynomial has an empty term
-    map. Arithmetic requires identical variable tuples (use
-    ``extend_variables`` to align).
+    map. Arithmetic requires identical variable tuples.
     """
 
     __slots__ = ("variables", "terms")
@@ -111,10 +110,6 @@ class MultivariatePolynomial:
         e = [0] * len(variables)
         e[i] = 1
         return cls(variables, {tuple(e): 1})
-
-    @classmethod
-    def monomial(cls, variables, exps, c=1):
-        return cls(variables, {tuple(exps): c})
 
     # ---------------- basic queries ----------------
 
@@ -260,18 +255,6 @@ class MultivariatePolynomial:
             ee[i] //= divisor
             out[tuple(ee)] = c
         return MultivariatePolynomial(self.variables, out)
-
-    def extend_variables(self, variables):
-        """Reinterpret over a superset of variables (order given by `variables`)."""
-        variables = tuple(variables)
-        pos = [variables.index(v) for v in self.variables]
-        out = {}
-        for e, c in self.terms.items():
-            ee = [0] * len(variables)
-            for p, k in zip(pos, e):
-                ee[p] = k
-            out[tuple(ee)] = c
-        return MultivariatePolynomial(variables, out)
 
     def restrict_variables(self, variables):
         """Project onto a variable subset; other exponents must all be zero."""
@@ -620,7 +603,10 @@ def polynomial_gcd(p, q, check=None):
     return (cont * g).primitive()
 
 
-def _screened_gcd_degree(p, q, name, trials=2):
+SCREEN_TRIALS = 2  # nontrivial univariate gcds before the screen gives up
+
+
+def _screened_gcd_degree(p, q, name):
     """Upper-bound check on deg_name(gcd) by specializing the other variables.
 
     Returns 0 as soon as one specialization (preserving both leading
@@ -629,34 +615,23 @@ def _screened_gcd_degree(p, q, name, trials=2):
     """
     rng = _random.Random(0x5eed)
     others = [v for v in p.variables if v != name]
-    lp = p.coefficient_of(name, p.degree(name))
-    lq = q.coefficient_of(name, q.degree(name))
     best = None
+    trials = SCREEN_TRIALS
     attempts = 0
     while trials > 0 and attempts < 12:
         attempts += 1
         point = {v: rng.choice([-7, -5, -4, -3, -2, 2, 3, 4, 5, 7, 8, 11]) for v in others}
-        if _eval_at(lp, point) == 0 or _eval_at(lq, point) == 0:
-            continue
         a = _eval_univariate(p, name, point)
         b = _eval_univariate(q, name, point)
+        # the trimmed lists lose their top entry when a leading coefficient vanishes
+        if len(a) <= p.degree(name) or len(b) <= q.degree(name):
+            continue
         d = _int_poly_gcd_degree(a, b)
         best = d if best is None else min(best, d)
         if best == 0:
             return 0
         trials -= 1
     return best if best is not None else max(p.degree(name), q.degree(name))
-
-
-def _eval_at(p, point):
-    total = Fraction(0)
-    for e, c in p.terms.items():
-        v = Fraction(c)
-        for var, k in zip(p.variables, e):
-            if k:
-                v *= Fraction(point[var]) ** k
-        total += v
-    return total
 
 
 def _eval_univariate(p, name, point):

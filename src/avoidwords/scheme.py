@@ -22,7 +22,7 @@ i+j+r*k. The series solver relies on this and touches only those
 coefficients; the proof is in `solve_series`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import mul
 
 from .polynomials import MultivariatePolynomial
@@ -134,8 +134,8 @@ class SeriesSolution:
         }
 
 
-def solve_series(scheme, cutoff):
-    """Unique power-series solution of the scheme up to the cutoff.
+def solve_series(r, cutoff):
+    """Unique power-series solution of the scheme for r up to the cutoff.
 
     Every non-constant right-hand term carries a factor of x, so coefficient
     m of each enumerator depends only on coefficients below m; one sweep per
@@ -152,7 +152,6 @@ def solve_series(scheme, cutoff):
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    r = scheme.r
     terms = scheme_terms(r)
     coeffs = {p: [0] * cutoff for p in terms}
     # per residue class: its pairs, with each quadratic term pointing into
@@ -190,42 +189,17 @@ def solve_series(scheme, cutoff):
     )
 
 
-@dataclass
-class CountSequence:
-    """w_r(0..nmax): the number of 123-avoiding words with r of each of n letters."""
+class _Counts(list):
+    """A plain list, plus `.terms` (itself) for perfbench/make_reference.py."""
 
-    r: int
-    terms: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __getitem__(self, n):
-        return self.terms[n]
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def to_json(self):
-        return {"r": self.r, "terms": [str(t) for t in self.terms]}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(r=data["r"], terms=[int(t) for t in data["terms"]])
-
-    def generating_series(self, cutoff=None):
-        """f_r(x) = sum w_r(n) x^n as a TruncatedSeries."""
-        if cutoff is None:
-            cutoff = len(self.terms)
-        return TruncatedSeries(self.terms[:cutoff], cutoff)
+    @property
+    def terms(self):
+        return self
 
 
-def word_counts(r, nmax, scheme=None):
-    """First nmax+1 counts, via the series solution of the scheme."""
+def word_counts(r, nmax):
+    """w_r(0..nmax), the numbers of 123-avoiding words with r of each of n
+    letters, read off the series solution of the scheme."""
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    if scheme is None:
-        scheme = build_scheme(r)
-    sol = solve_series(scheme, r * nmax + 1)
-    g00 = sol.series[(0, 0)]
-    return CountSequence(r=r, terms=[g00[r * n] for n in range(nmax + 1)])
+    return _Counts(solve_series(r, r * nmax + 1).series[(0, 0)].coeffs[::r])

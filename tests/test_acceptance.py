@@ -18,8 +18,9 @@ from avoidwords.elimination import (
     verify_annihilation,
 )
 from avoidwords.fixtures import reference_equation, reference_recurrence
-from avoidwords.guessing import extend_with_recurrence, guess_algebraic, guess_recurrence, verify_recurrence
+from avoidwords.guessing import guess_algebraic, guess_recurrence
 from avoidwords.scheme import build_scheme, word_counts
+from avoidwords.series import TruncatedSeries
 from avoidwords.words import (
     P123,
     P132,
@@ -64,7 +65,7 @@ def test_criterion_1_catalan_reproduction(capsys, tmp_path):
     elapsed = time.monotonic() - start
     assert code == 0
     assert [int(t) for t in out.split()] == CATALAN_21
-    assert word_counts(1, 20).terms == CATALAN_21
+    assert word_counts(1, 20) == CATALAN_21
     with capsys.disabled():
         print(f"\n[acceptance] criterion 1 (Catalan via the CLI, r=1, n<=20): "
               f"PASS ({elapsed:.1f}s, budget 1.0s)")
@@ -89,7 +90,7 @@ def test_criterion_3_equation_r2():
         ours = compress_exponents(raw, 2)
         ref = reference_equation(2)
         assert match_equation(ours, ref).status in ("equal", "proper-multiple")
-        series = word_counts(2, 50).generating_series()
+        series = TruncatedSeries(word_counts(2, 50))
         assert verify_annihilation(ref, series)
 
 
@@ -99,14 +100,14 @@ def test_criterion_4_equation_r3():
         ours = compress_exponents(raw, 3)
         ref = reference_equation(3)
         assert match_equation(ours, ref).status in ("equal", "proper-multiple")
-        series = word_counts(3, 60).generating_series()
+        series = TruncatedSeries(word_counts(3, 60))
         assert verify_annihilation(ref, series)
         assert verify_annihilation(ours, series)
 
 
 def test_criterion_5_equation_r4_verification():
     with _Budget("criterion 5 (16th-degree equation annihilates, r=4)", 120.0):
-        series = word_counts(4, 60).generating_series()
+        series = TruncatedSeries(word_counts(4, 60))
         assert series.cutoff == 61
         assert verify_annihilation(reference_equation(4), series)
 
@@ -129,9 +130,9 @@ def test_criterion_6_recurrence_reproduction():
             rec = guess_recurrence(seq, mo, md)
             assert rec is not None
             assert rec.coeffs == reference_recurrence(r).coeffs, r
-            extended = extend_with_recurrence(rec, seq, 500)  # exact divisions enforced
-            assert len(extended.terms) == 501
-            assert verify_recurrence(rec, extended), r
+            extended = rec.extend(seq, 500)  # exact divisions enforced
+            assert len(extended) == 501
+            assert rec.verify(extended), r
 
 
 def test_criterion_7_conjecture_check():
@@ -193,7 +194,7 @@ def test_criterion_9_algebraic_crosscheck():
         bounds = {1: (1, 2), 2: (2, 4), 3: (4, 8), 4: (11, 16)}
         for r, (dx, df) in bounds.items():
             need = (dx + 1) * (df + 1) + 12
-            series = word_counts(r, need).generating_series()
+            series = TruncatedSeries(word_counts(r, need))
             poly = guess_algebraic(series, dx, df)
             assert poly is not None, r
             allowed = ("equal",) if r == 4 else ("equal", "proper-multiple")

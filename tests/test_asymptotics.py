@@ -11,7 +11,6 @@ from avoidwords.asymptotics import (
     report_table,
     sequence_for,
 )
-from avoidwords.scheme import CountSequence
 import pytest
 
 from avoidwords.asymptotics import TooFewTermsError
@@ -22,13 +21,13 @@ def test_conjectured_growth_values():
 
 
 def test_geometric_growth_is_exact():
-    seq = CountSequence(r=None, terms=[3**n for n in range(60)])
+    seq = [3**n for n in range(60)]
     assert abs(growth_ratio(seq) - 3) < 1e-12
 
 
 def test_too_few_terms_rejected():
     with pytest.raises(TooFewTermsError):
-        growth_ratio(CountSequence(r=None, terms=[1] * 20))
+        growth_ratio([1] * 20)
 
 
 def test_synthetic_model_recovers_constant():
@@ -37,7 +36,7 @@ def test_synthetic_model_recovers_constant():
     with mp.workprec(400):
         terms = [1] + [int(mpmath.nint(mpf(C) * mpf(4) ** n * mpf(n) ** mpf(-1.5)))
                        for n in range(1, 1200)]
-    seq = CountSequence(r=None, terms=terms)
+    seq = terms
     got = fit_constant(seq, growth=4, exponent=-1.5)
     assert abs(got - C) / C < 1e-6
 
@@ -89,7 +88,7 @@ def test_sequence_for_falls_back_to_scheme_without_recurrence():
     assert source == "scheme-series"
     from avoidwords.scheme import word_counts
 
-    assert seq.terms == word_counts(6, 20).terms
+    assert seq == word_counts(6, 20)
 
 
 def test_report_source_is_the_path_that_ran():
@@ -98,5 +97,5 @@ def test_report_source_is_the_path_that_ran():
     assert conjecture_check(2, nmax=55).source == "recurrence-extension"
     # within the re-verification span the scheme terms are returned as they are
     assert sequence_for(2, 20)[1] == "scheme-series"
-    supplied = CountSequence(r=None, terms=sequence_for(1, 100)[0].terms)
+    supplied = sequence_for(1, 100)[0]
     assert conjecture_check(1, seq=supplied).source == "supplied"

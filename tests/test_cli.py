@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import avoidwords
 from avoidwords import cli
 from avoidwords.cache import Cache
 from avoidwords.cli import (
@@ -253,3 +254,8 @@ def test_unusable_cache_directory_exits_1(capsys, tmp_path):
     )
     assert (code, out) == (EXIT_ERROR, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in avoidwords.__all__ if not hasattr(avoidwords, name)]
+    assert missing == []

@@ -20,7 +20,14 @@ from avoidwords.polynomials import (
     polynomial_gcd,
     resultant,
 )
-from avoidwords.scheme import AlgebraicScheme, build_scheme, word_counts
+from avoidwords.scheme import (
+    AlgebraicScheme,
+    build_scheme,
+    solve_series,
+    variable_name,
+    word_counts,
+)
+from avoidwords.series import TruncatedSeries, evaluate_polynomial_on_series
 from resultant_oracle import sylvester_resultant
 
 
@@ -59,7 +66,7 @@ def test_r3_resultants_within_budget():
     p3 = compress_exponents(q, 3)
     m = match_equation(p3, reference_equation(3))
     assert m.status in ("equal", "proper-multiple")
-    series = word_counts(3, 60).generating_series()
+    series = TruncatedSeries(word_counts(3, 60))
     assert verify_annihilation(p3, series)
 
 
@@ -122,25 +129,25 @@ def test_compress_rejects_mixed_exponents():
 # -------- annihilation --------
 
 def test_catalan_equation_annihilates_catalan():
-    series = word_counts(1, 50).generating_series()
+    series = TruncatedSeries(word_counts(1, 50))
     assert verify_annihilation(reference_equation(1), series)
 
 
 def test_wrong_series_rejected():
-    series = word_counts(2, 50).generating_series()
+    series = TruncatedSeries(word_counts(2, 50))
     assert not verify_annihilation(reference_equation(1), series)
 
 
 def test_annihilation_needs_margin():
-    series = word_counts(1, 3).generating_series()
+    series = TruncatedSeries(word_counts(1, 3))
     with pytest.raises(InsufficientSeriesError):
         verify_annihilation(reference_equation(1), series)
 
 
 def test_two_cutoffs_never_flip_true_to_false():
     p = reference_equation(2)
-    s1 = word_counts(2, 30).generating_series()
-    s2 = word_counts(2, 60).generating_series()
+    s1 = TruncatedSeries(word_counts(2, 30))
+    s2 = TruncatedSeries(word_counts(2, 60))
     assert verify_annihilation(p, s1) and verify_annihilation(p, s2)
 
 
@@ -172,6 +179,36 @@ def test_final_chain_outputs_share_reference_factor():
     g = polynomial_gcd(a, b)
     p = compress_exponents(g, 2)
     assert match_equation(p, reference_equation(2))
+
+
+def _vanishes_on_r2_solution(poly):
+    cutoff = 25
+    assignment = {"x": TruncatedSeries.x(cutoff)}
+    for pair, series in solve_series(2, cutoff).series.items():
+        assignment[variable_name(pair)] = series
+    return evaluate_polynomial_on_series(poly, assignment).is_zero()
+
+
+def test_split_common_factor_keeps_a_shared_factor_that_vanishes():
+    scheme = build_scheme(2)
+    e = scheme.equations[(1, 1)]
+    g11, x = (MP.variable(scheme.variables, v) for v in ("G1_1", "x"))
+    pivot, q = e * (g11 + 3), e * (g11 - x)
+    assert resultant(pivot, q, "G1_1").is_zero
+    got = elimination._split_common_factor(2, pivot, q, "G1_1", None)
+    assert got == e.primitive()
+    assert _vanishes_on_r2_solution(got)
+
+
+def test_split_common_factor_takes_the_cofactor_resultant():
+    scheme = build_scheme(2)
+    e1, e2 = scheme.equations[(0, 0)], scheme.equations[(1, 1)]
+    a = MP.variable(scheme.variables, "G1_1") + 2  # its series starts at 2
+    assert not _vanishes_on_r2_solution(a)
+    got = elimination._split_common_factor(2, a * e1, a * e2, "G1_1", None)
+    assert got == resultant(e1, e2, "G1_1")
+    assert not got.is_zero and got.degree("G1_1") == 0
+    assert _vanishes_on_r2_solution(got)
 
 
 def test_resultant_chain_checks_its_budget_after_every_prs_step(monkeypatch):

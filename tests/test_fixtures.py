@@ -16,9 +16,10 @@ from avoidwords.fixtures import (
     reference_equation,
     reference_recurrence,
 )
-from avoidwords.guessing import LinearRecurrence, verify_recurrence
+from avoidwords.guessing import LinearRecurrence
 from avoidwords.polynomials import MultivariatePolynomial
 from avoidwords.scheme import word_counts
+from avoidwords.series import TruncatedSeries
 
 XF = ("x", "F")
 X = MultivariatePolynomial(XF, {(1, 0): 1})
@@ -152,7 +153,7 @@ def test_cached_recurrences_are_marked_and_verify(r):
     data = _data(f"recurrence_r{r}.json")
     assert data["status"] == "empirically-verified"
     rec = load_cached_recurrence(r)
-    assert verify_recurrence(rec, word_counts(r, 40))
+    assert rec.verify(word_counts(r, 40))
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -160,7 +161,7 @@ def test_reference_equations_canonical_and_annihilating(r):
     p = reference_equation(r)
     assert p == canonical_equation(p)
     cutoff = max(50, 2 * (p.degree("x") + p.degree("F")) + 1)
-    series = word_counts(r, cutoff).generating_series()
+    series = TruncatedSeries(word_counts(r, cutoff))
     assert verify_annihilation(p, series)
 
 

@@ -11,13 +11,11 @@ from avoidwords.guessing import (
     SingularRecurrenceError,
     _algebraic_matrix,
     _recurrence_matrix,
-    extend_with_recurrence,
     guess_algebraic,
     guess_recurrence,
-    verify_recurrence,
 )
 from avoidwords.polynomials import MultivariatePolynomial as MP
-from avoidwords.scheme import CountSequence, word_counts
+from avoidwords.scheme import word_counts
 from avoidwords.series import TruncatedSeries
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
@@ -29,7 +27,7 @@ def test_catalan_recurrence_guessed():
 
 
 def test_constant_sequence():
-    rec = guess_recurrence(CountSequence(r=None, terms=[1] * 30), 1, 1)
+    rec = guess_recurrence([1] * 30, 1, 1)
     assert rec.coeffs == ((-1,), (1,))
 
 
@@ -57,14 +55,14 @@ def test_modular_matrices_match_exact_rows():
     # the numpy builders against the integer matrices they reduce, at the
     # largest prime, where int64 products come closest to overflow
     p = linalg._primes()[0]
-    terms = word_counts(5, 40).terms
+    terms = word_counts(5, 40)
     order, degree, rows = 4, 6, 30
     exact = [[n**j * terms[n + k] for k in range(order + 1) for j in range(degree + 1)]
              for n in range(rows)]
     built = _recurrence_matrix(terms, order, degree, rows, p)
     assert built.tolist() == [[c % p for c in row] for row in exact]
 
-    series = word_counts(4, 40).generating_series()
+    series = TruncatedSeries(word_counts(4, 40))
     powers = [TruncatedSeries.one(series.cutoff)]
     for _ in range(5):
         powers.append(powers[-1] * series)
@@ -90,37 +88,37 @@ def test_insufficient_terms_rejected():
 def test_guess_none_when_no_recurrence_fits():
     # 2^(n^2)-ish growth has no low-order P-recurrence
     terms = [2 ** (n * n) for n in range(40)]
-    assert guess_recurrence(CountSequence(r=None, terms=terms), 2, 2) is None
+    assert guess_recurrence(terms, 2, 2) is None
 
 
 # -------- verification and extension --------
 
 def test_verify_on_catalan():
     rec = reference_recurrence(1)
-    assert verify_recurrence(rec, CountSequence(r=1, terms=CATALAN))
+    assert rec.verify(CATALAN)
 
 
 def test_verify_rejects_wrong_sequence():
     rec = reference_recurrence(1)
-    assert not verify_recurrence(rec, word_counts(2, 20))
+    assert not rec.verify(word_counts(2, 20))
 
 
 def test_extension_reproduces_catalan():
     rec = reference_recurrence(1)
-    ext = extend_with_recurrence(rec, word_counts(1, 1), 10)
-    assert ext.terms == CATALAN
+    ext = rec.extend(word_counts(1, 1), 10)
+    assert ext == CATALAN
 
 
 def test_extension_r2_reaches_43():
     rec = reference_recurrence(2)
-    ext = extend_with_recurrence(rec, word_counts(2, 2), 3)
-    assert ext.terms[3] == 43
+    ext = rec.extend(word_counts(2, 2), 3)
+    assert ext[3] == 43
 
 
 def test_extension_shorter_than_order_returns_initial():
     rec = reference_recurrence(2)
-    ext = extend_with_recurrence(rec, word_counts(2, 5), 1)
-    assert ext.terms == word_counts(2, 1).terms
+    ext = rec.extend(word_counts(2, 5), 1)
+    assert ext == word_counts(2, 1)
 
 
 def test_singular_extension_detected():
@@ -139,7 +137,7 @@ def test_non_integral_extension_detected():
 
 def test_guess_idempotent_after_extension():
     rec = guess_recurrence(word_counts(2, 60), 2, 3)
-    longer = extend_with_recurrence(rec, word_counts(2, 5), 140)
+    longer = rec.extend(word_counts(2, 5), 140)
     again = guess_recurrence(longer, 2, 3)
     assert again.coeffs == rec.coeffs
 
@@ -154,7 +152,7 @@ def test_guess_verifies_on_twice_the_terms():
     for r, (mo, md) in [(1, (1, 1)), (2, (2, 3)), (3, (2, 5))]:
         short = word_counts(r, 60)
         rec = guess_recurrence(short, mo, md)
-        assert verify_recurrence(rec, word_counts(r, 120)), r
+        assert rec.verify(word_counts(r, 120)), r
 
 
 def test_recurrence_json_roundtrip():
@@ -165,7 +163,7 @@ def test_recurrence_json_roundtrip():
 # -------- algebraic guessing --------
 
 def test_catalan_equation_guessed():
-    series = word_counts(1, 30).generating_series()
+    series = TruncatedSeries(word_counts(1, 30))
     p = guess_algebraic(series, 1, 2)
     assert p == reference_equation(1)
 
@@ -177,17 +175,17 @@ def test_geometric_series_equation():
 
 
 def test_r2_equation_recovered_from_series():
-    series = word_counts(2, 40).generating_series()
+    series = TruncatedSeries(word_counts(2, 40))
     p = guess_algebraic(series, 2, 4)
     assert match_equation(p, reference_equation(2))
 
 
 def test_algebraic_insufficient_terms():
-    series = word_counts(1, 10).generating_series()
+    series = TruncatedSeries(word_counts(1, 10))
     with pytest.raises(InsufficientTermsError):
         guess_algebraic(series, 4, 8)
 
 
 def test_algebraic_returns_none_below_true_degrees():
-    series = word_counts(1, 30).generating_series()
+    series = TruncatedSeries(word_counts(1, 30))
     assert guess_algebraic(series, 1, 1) is None

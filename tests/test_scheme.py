@@ -1,5 +1,6 @@
 import pytest
 
+from avoidwords import scheme as scheme_module
 from avoidwords.polynomials import MultivariatePolynomial as MP
 from avoidwords.scheme import (
     build_scheme,
@@ -59,18 +60,18 @@ def test_invalid_r_rejected():
 
 def test_cutoff_one_gives_delta_only():
     for r in (1, 2, 3):
-        sol = solve_series(build_scheme(r), 1)
+        sol = solve_series(r, 1)
         for pair, series in sol.series.items():
             assert series[0] == (1 if pair == (0, 0) else 0)
 
 
 def test_catalan_series():
-    sol = solve_series(build_scheme(1), 7)
+    sol = solve_series(1, 7)
     assert sol.series[(0, 0)].coeffs == [1, 1, 2, 5, 14, 42, 132]
 
 
 def test_r2_g00_series():
-    sol = solve_series(build_scheme(2), 7)
+    sol = solve_series(2, 7)
     g00 = sol.series[(0, 0)]
     assert [g00[k] for k in (0, 2, 4, 6)] == [1, 1, 6, 43]
     assert all(g00[k] == 0 for k in (1, 3, 5))
@@ -78,7 +79,7 @@ def test_r2_g00_series():
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 def test_grading(r):
-    sol = solve_series(build_scheme(r), 60)
+    sol = solve_series(r, 60)
     for (i, j), series in sol.series.items():
         for m, c in enumerate(series.coeffs):
             if m % r != (i + j) % r:
@@ -90,7 +91,7 @@ def test_solver_matches_full_convolution_at_small_cutoffs(r):
     # cutoffs below r+1 leave some strided slices empty (k < ra)
     scheme = build_scheme(r)
     for cutoff in range(1, 3 * r + 3):
-        sol = solve_series(scheme, cutoff)
+        sol = solve_series(r, cutoff)
         assert sol.cutoff == cutoff
         assert all(len(series.coeffs) == cutoff for series in sol.series.values())
         assert _coeffs(sol) == solve_series_full(scheme, cutoff), cutoff
@@ -100,29 +101,39 @@ def test_solver_matches_full_convolution_at_small_cutoffs(r):
 def test_solver_matches_full_convolution_at_length(r, nmax):
     scheme = build_scheme(r)
     cutoff = r * nmax + 1
-    assert _coeffs(solve_series(scheme, cutoff)) == solve_series_full(scheme, cutoff)
+    assert _coeffs(solve_series(r, cutoff)) == solve_series_full(scheme, cutoff)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_residuals_vanish(r):
     scheme = build_scheme(r)
-    sol = solve_series(scheme, 25)
+    sol = solve_series(r, 25)
     for pair, residual in sol.residuals(scheme).items():
         assert residual.is_zero(), pair
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 def test_coefficients_nonnegative_integers(r):
-    sol = solve_series(build_scheme(r), 30)
+    sol = solve_series(r, 30)
     for series in sol.series.values():
         for c in series.coeffs:
             assert isinstance(c, int) and c >= 0
 
 
 def test_word_counts_examples():
-    assert word_counts(1, 5).terms == [1, 1, 2, 5, 14, 42]
-    assert word_counts(2, 3).terms == [1, 1, 6, 43]
+    assert word_counts(1, 5) == [1, 1, 2, 5, 14, 42]
+    assert word_counts(2, 3) == [1, 1, 6, 43]
     assert word_counts(3, 2)[2] == 20  # only two distinct letters: all avoid
+
+
+def test_word_counts_needs_no_polynomial_scheme(monkeypatch):
+    def refuse(r):
+        raise AssertionError("word_counts built the polynomial scheme")
+
+    monkeypatch.setattr(scheme_module, "build_scheme", refuse)
+    assert word_counts(2, 10) == [
+        1, 1, 6, 43, 352, 3114, 29004, 280221, 2782476, 28221784, 291138856,
+    ]
 
 
 def test_counts_against_bruteforce_and_recurrence():
@@ -138,7 +149,7 @@ def test_counts_against_bruteforce_and_recurrence():
 @pytest.mark.parametrize("r", [5, 6])
 def test_counts_against_multiset_recurrence(r):
     seq = word_counts(r, 20)
-    assert seq.terms == [count_avoiders_recurrence((r,) * n) for n in range(21)]
+    assert seq == [count_avoiders_recurrence((r,) * n) for n in range(21)]
 
 
 def test_pretty_printer_mentions_all_enumerators():
@@ -151,4 +162,4 @@ def test_count_sequence_starts_one_one_and_stays_positive():
     for r in range(1, 6):
         seq = word_counts(r, 8)
         assert seq[0] == 1 and seq[1] == 1
-        assert all(t > 0 for t in seq.terms)
+        assert all(t > 0 for t in seq)
