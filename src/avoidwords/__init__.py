@@ -28,12 +28,10 @@ from .words import (
 )
 from .scheme import (
     AlgebraicScheme,
-    SeriesSolution,
     build_scheme,
     solve_series,
     word_counts,
 )
-from .series import TruncatedSeries
 from .polynomials import MultivariatePolynomial, resultant
 from .elimination import (
     compress_exponents,
@@ -58,11 +56,9 @@ __all__ = [
     "count_avoiders_recurrence",
     "avoidance_involution",
     "AlgebraicScheme",
-    "SeriesSolution",
     "build_scheme",
     "solve_series",
     "word_counts",
-    "TruncatedSeries",
     "MultivariatePolynomial",
     "resultant",
     "eliminate",

@@ -11,7 +11,6 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -32,37 +31,6 @@ def _canonical(payload):
 
 def payload_hash(payload):
     return hashlib.sha256(_canonical(payload).encode()).hexdigest()
-
-
-@dataclass
-class CacheEntry:
-    kind: str  # sequence | equation | report
-    r: int
-    parameters: dict
-    payload: dict
-    content_hash: str
-    tool_version: str
-
-    @classmethod
-    def make(cls, kind, r, parameters, payload):
-        return cls(
-            kind=kind,
-            r=r,
-            parameters=dict(parameters),
-            payload=payload,
-            content_hash=payload_hash(payload),
-            tool_version=__version__,
-        )
-
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "r": self.r,
-            "parameters": self.parameters,
-            "payload": self.payload,
-            "content_hash": self.content_hash,
-            "tool_version": self.tool_version,
-        }
 
 
 class Cache:
@@ -109,12 +77,20 @@ class Cache:
         return data["payload"]
 
     def store(self, kind, r, parameters, payload):
+        """Write the entry document; returns it as a dict, or None when disabled."""
         if not self.enabled:
             return None
-        entry = CacheEntry.make(kind, r, parameters, payload)
+        entry = {
+            "kind": kind,  # sequence | equation | report
+            "r": r,
+            "parameters": dict(parameters),
+            "payload": payload,
+            "content_hash": payload_hash(payload),
+            "tool_version": __version__,
+        }
         path = self._key_path(kind, r, parameters)
         with self._lock():
             tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(entry.to_json(), sort_keys=True, indent=1))
+            tmp.write_text(json.dumps(entry, sort_keys=True, indent=1))
             tmp.replace(path)
         return entry

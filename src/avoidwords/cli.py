@@ -18,7 +18,13 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .asymptotics import TooFewTermsError, conjecture_check, report_table, sequence_for
+from .asymptotics import (
+    AsymptoticReport,
+    TooFewTermsError,
+    conjecture_check,
+    report_table,
+    sequence_for,
+)
 from .cache import Cache
 from .elimination import (
     EliminationTimeout,
@@ -38,7 +44,6 @@ from .guessing import (
 )
 from .polynomials import MultivariatePolynomial
 from .scheme import build_scheme, word_counts
-from .series import TruncatedSeries
 from .words import (
     P123,
     BruteForceCapError,
@@ -147,7 +152,6 @@ def cmd_eliminate(args):
         cache.store("equation", args.r, {"backend": args.backend}, equation.to_json())
 
     verdict = None
-    annihilates = None
     exit_code = EXIT_OK
     if args.r <= 4:
         reference = reference_equation(args.r)
@@ -155,8 +159,7 @@ def cmd_eliminate(args):
         if verdict == "mismatch":
             exit_code = EXIT_VERIFICATION
     cutoff = max(50, 2 * (equation.degree("x") + equation.degree("F")) + 1)
-    series = TruncatedSeries(word_counts(args.r, cutoff))
-    annihilates = verify_annihilation(equation, series)
+    annihilates = verify_annihilation(equation, word_counts(args.r, cutoff))
     if not annihilates:
         exit_code = EXIT_VERIFICATION
 
@@ -182,8 +185,7 @@ def cmd_eliminate(args):
 def cmd_guess(args):
     if args.algebraic:
         nterms = args.terms or (args.max_deg_x + 1) * (args.max_deg_f + 1) + 12
-        series = TruncatedSeries(word_counts(args.r, nterms - 1))
-        poly = guess_algebraic(series, args.max_deg_x, args.max_deg_f)
+        poly = guess_algebraic(word_counts(args.r, nterms - 1), args.max_deg_x, args.max_deg_f)
         if poly is None:
             print("no algebraic equation found within the bounds", file=sys.stderr)
             return EXIT_INSUFFICIENT
@@ -223,8 +225,6 @@ def cmd_guess(args):
 
 
 def cmd_asympt(args):
-    from .asymptotics import AsymptoticReport
-
     cache = Cache(args.cache_dir, enabled=not args.no_cache)
     params = {"nmax": args.nmax, "tol": args.tol}
     cached = cache.load("report", args.r, params)

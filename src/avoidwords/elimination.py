@@ -21,7 +21,7 @@ from .polynomials import (
     squarefree_part,
 )
 from .scheme import scheme_pairs, solve_series, variable_name
-from .series import TruncatedSeries, evaluate_bivariate, evaluate_polynomial_on_series
+from .series import evaluate_on_series
 
 DEFAULT_TIMEOUT = 120.0
 ANNIHILATION_MARGIN = 2  # times deg_x + deg_F; a shorter cutoff accepts junk
@@ -119,13 +119,12 @@ def _eliminate_resultants(scheme, check):
             res = res.strip_monomial_content().primitive()
             if next_name is not None and res.degree(next_name) > 0:
                 res = squarefree_part(res, next_name, check)
-            produced.append(res.strip_monomial_content().primitive())
+            produced.append(res)
         polys = others + produced
     final = [p for p in polys if not p.is_zero]
     if not final:
         raise EmptyEliminationError("resultant chain collapsed to zero")
     best = min(final, key=lambda p: (p.total_degree(), len(p)))
-    best = best.strip_monomial_content().primitive()
     return best.restrict_variables(("x", variable_name((0, 0)))).primitive()
 
 
@@ -139,12 +138,8 @@ def _split_common_factor(r, pivot, q, name, check):
     g = polynomial_gcd(pivot, q, check)
     if g.is_constant():
         return None
-    cutoff = 12 * r + 1
-    sol = solve_series(r, cutoff)
-    assignment = {"x": TruncatedSeries.x(cutoff)}
-    for pair, s in sol.series.items():
-        assignment[variable_name(pair)] = s
-    if evaluate_polynomial_on_series(g, assignment).is_zero():
+    solution = {variable_name(p): s for p, s in solve_series(r, 12 * r + 1).items()}
+    if not any(evaluate_on_series(g, solution)):
         return g
     # g is nonzero on the solution, so both cofactors vanish on it
     pivot2 = exact_divide(pivot, g, check)
@@ -185,16 +180,16 @@ def compress_exponents(poly, r):
 
 
 def verify_annihilation(poly, f):
-    """True iff poly(x, f(x)) vanishes identically modulo x^cutoff.
+    """True iff poly(x, f(x)) vanishes identically modulo x^len(f).
 
     Requires the cutoff to reach ANNIHILATION_MARGIN * (deg_x + deg_F).
     """
     need = ANNIHILATION_MARGIN * (poly.degree("x") + poly.degree("F"))
-    if f.cutoff < need:
+    if len(f) < need:
         raise InsufficientSeriesError(
-            f"series cutoff {f.cutoff} below required margin {need}"
+            f"series cutoff {len(f)} below required margin {need}"
         )
-    return evaluate_bivariate(poly, f).is_zero()
+    return not any(evaluate_on_series(poly, {"F": f}))
 
 
 @dataclass

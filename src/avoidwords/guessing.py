@@ -20,7 +20,7 @@ import numpy as np
 from .elimination import canonical_equation
 from .linalg import integer_kernel
 from .polynomials import MultivariatePolynomial
-from .series import TruncatedSeries, evaluate_bivariate
+from .series import evaluate_on_series, series_mul
 
 # trailing terms or coefficients held out of every fit and checked first
 HOLDOUT = 10
@@ -213,32 +213,32 @@ def _recurrence_matrix(terms, order, degree, rows, p):
 # ---------------- direct algebraic-equation guessing ----------------
 
 def guess_algebraic(series, max_deg_x, max_deg_f):
-    """Smallest P over (x, F) with P(x, f) = 0 mod the cutoff, or None.
+    """Smallest P over (x, F) with P(x, f) = 0 mod x^len(series), or None.
 
     Cross-check of the elimination route: works straight from the series'
     integer coefficients, holdout-checked on the final HOLDOUT coefficients
     and then checked exactly up to the cutoff.
     """
     need = (max_deg_x + 1) * (max_deg_f + 1) + HOLDOUT
-    if series.cutoff < need:
+    if len(series) < need:
         raise InsufficientTermsError(
-            f"cutoff {series.cutoff} below required {need} for these bounds"
+            f"cutoff {len(series)} below required {need} for these bounds"
         )
-    powers = [TruncatedSeries.one(series.cutoff)]
+    powers = [[1] + [0] * (len(series) - 1)]
     for _ in range(max_deg_f):
-        powers.append(powers[-1] * series)
+        powers.append(series_mul(powers[-1], series))
     residues = {}
 
     def powers_mod(p):
         if p not in residues:
-            residues[p] = np.array([[c % p for c in s.coeffs] for s in powers], dtype=np.int64)
+            residues[p] = np.array([[c % p for c in s] for s in powers], dtype=np.int64)
         return residues[p]
 
     return _first_verified(
         max_deg_f, max_deg_x,
         lambda df, dx: _algebraic_candidates(series, powers_mod, dx, df),
         lambda poly: poly.terms.values(),
-        lambda poly: evaluate_bivariate(poly, series).is_zero(),
+        lambda poly: not any(evaluate_on_series(poly, {"F": series})),
     )
 
 
@@ -246,7 +246,7 @@ def _algebraic_candidates(series, powers_mod, dx, df):
     """Canonical kernel equations within (dx, df); none when too few
     coefficients remain to fit the box."""
     width = (dx + 1) * (df + 1)
-    rows = min(width + 4, series.cutoff - HOLDOUT)
+    rows = min(width + 4, len(series) - HOLDOUT)
     if rows < width - 1:
         return []
     kernel = integer_kernel(lambda p: _algebraic_matrix(powers_mod(p), dx, df, rows))

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from operator import mul
 
 from .polynomials import MultivariatePolynomial
-from .series import TruncatedSeries, evaluate_polynomial_on_series
 
 
 def canon_pair(i, j):
@@ -117,25 +116,9 @@ def build_scheme(r):
     return AlgebraicScheme(r=r, variables=variables, equations=equations)
 
 
-@dataclass
-class SeriesSolution:
-    r: int
-    cutoff: int
-    series: dict  # (i, j) -> TruncatedSeries
-
-    def residuals(self, scheme):
-        """Substitute the solution into every equation; all must vanish."""
-        assignment = {"x": TruncatedSeries.x(self.cutoff)}
-        for pair, s in self.series.items():
-            assignment[variable_name(pair)] = s
-        return {
-            pair: evaluate_polynomial_on_series(poly, assignment)
-            for pair, poly in scheme.equations.items()
-        }
-
-
 def solve_series(r, cutoff):
-    """Unique power-series solution of the scheme for r up to the cutoff.
+    """Unique power-series solution of the scheme for r up to the cutoff,
+    as {pair: coefficient list of length cutoff}.
 
     Every non-constant right-hand term carries a factor of x, so coefficient
     m of each enumerator depends only on coefficients below m; one sweep per
@@ -184,9 +167,7 @@ def solve_series(r, cutoff):
                 if m >= xpow:
                     s += cq[m - xpow]
             out[m] = s
-    return SeriesSolution(
-        r=r, cutoff=cutoff, series={p: TruncatedSeries(coeffs[p], cutoff) for p in terms}
-    )
+    return coeffs
 
 
 class _Counts(list):
@@ -202,4 +183,4 @@ def word_counts(r, nmax):
     letters, read off the series solution of the scheme."""
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    return _Counts(solve_series(r, r * nmax + 1).series[(0, 0)].coeffs[::r])
+    return _Counts(solve_series(r, r * nmax + 1)[(0, 0)][::r])

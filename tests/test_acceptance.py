@@ -20,7 +20,6 @@ from avoidwords.elimination import (
 from avoidwords.fixtures import reference_equation, reference_recurrence
 from avoidwords.guessing import guess_algebraic, guess_recurrence
 from avoidwords.scheme import build_scheme, word_counts
-from avoidwords.series import TruncatedSeries
 from avoidwords.words import (
     P123,
     P132,
@@ -90,7 +89,7 @@ def test_criterion_3_equation_r2():
         ours = compress_exponents(raw, 2)
         ref = reference_equation(2)
         assert match_equation(ours, ref).status in ("equal", "proper-multiple")
-        series = TruncatedSeries(word_counts(2, 50))
+        series = word_counts(2, 50)
         assert verify_annihilation(ref, series)
 
 
@@ -100,15 +99,15 @@ def test_criterion_4_equation_r3():
         ours = compress_exponents(raw, 3)
         ref = reference_equation(3)
         assert match_equation(ours, ref).status in ("equal", "proper-multiple")
-        series = TruncatedSeries(word_counts(3, 60))
+        series = word_counts(3, 60)
         assert verify_annihilation(ref, series)
         assert verify_annihilation(ours, series)
 
 
 def test_criterion_5_equation_r4_verification():
     with _Budget("criterion 5 (16th-degree equation annihilates, r=4)", 120.0):
-        series = TruncatedSeries(word_counts(4, 60))
-        assert series.cutoff == 61
+        series = word_counts(4, 60)
+        assert len(series) == 61
         assert verify_annihilation(reference_equation(4), series)
 
 
@@ -194,7 +193,7 @@ def test_criterion_9_algebraic_crosscheck():
         bounds = {1: (1, 2), 2: (2, 4), 3: (4, 8), 4: (11, 16)}
         for r, (dx, df) in bounds.items():
             need = (dx + 1) * (df + 1) + 12
-            series = TruncatedSeries(word_counts(r, need))
+            series = word_counts(r, need)
             poly = guess_algebraic(series, dx, df)
             assert poly is not None, r
             allowed = ("equal",) if r == 4 else ("equal", "proper-multiple")

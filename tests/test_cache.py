@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from avoidwords.cache import Cache, CacheEntry, payload_hash
+from avoidwords.cache import Cache, payload_hash
 
 
 def test_round_trip(tmp_path):
@@ -28,7 +28,7 @@ def test_corrupted_payload_reads_as_miss(tmp_path):
     data["payload"]["terms"] = ["9", "9", "9"]  # hash no longer matches
     path.write_text(json.dumps(data))
     assert cache.load("sequence", 1, {"nmax": 2}) is None
-    assert entry.content_hash == payload_hash({"terms": ["1", "1", "2"]})
+    assert entry["content_hash"] == payload_hash({"terms": ["1", "1", "2"]})
 
 
 @pytest.mark.parametrize("document", ["[1, 2]", "null", "7", '"text"'])
@@ -55,7 +55,7 @@ def test_disabled_cache_never_hits(tmp_path):
     assert cache.load("sequence", 1, {"nmax": 1}) is None
 
 
-def test_entry_hash_consistency():
-    entry = CacheEntry.make("sequence", 2, {"nmax": 3}, {"a": 1})
-    assert entry.content_hash == payload_hash({"a": 1})
-    assert entry.to_json()["kind"] == "sequence"
+def test_entry_hash_consistency(tmp_path):
+    entry = Cache(tmp_path).store("sequence", 2, {"nmax": 3}, {"a": 1})
+    assert entry["content_hash"] == payload_hash({"a": 1})
+    assert entry["kind"] == "sequence"

@@ -19,7 +19,6 @@ from avoidwords.fixtures import (
 from avoidwords.guessing import LinearRecurrence
 from avoidwords.polynomials import MultivariatePolynomial
 from avoidwords.scheme import word_counts
-from avoidwords.series import TruncatedSeries
 
 XF = ("x", "F")
 X = MultivariatePolynomial(XF, {(1, 0): 1})
@@ -161,7 +160,7 @@ def test_reference_equations_canonical_and_annihilating(r):
     p = reference_equation(r)
     assert p == canonical_equation(p)
     cutoff = max(50, 2 * (p.degree("x") + p.degree("F")) + 1)
-    series = TruncatedSeries(word_counts(r, cutoff))
+    series = word_counts(r, cutoff)
     assert verify_annihilation(p, series)
 
 
