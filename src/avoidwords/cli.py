@@ -27,6 +27,7 @@ from .asymptotics import (
 )
 from .cache import Cache
 from .elimination import (
+    DEFAULT_TIMEOUT,
     EliminationTimeout,
     EmptyEliminationError,
     InsufficientSeriesError,
@@ -45,6 +46,7 @@ from .guessing import (
 from .polynomials import MultivariatePolynomial
 from .scheme import build_scheme, word_counts
 from .words import (
+    DEFAULT_BRUTE_CAP,
     P123,
     BruteForceCapError,
     count_avoiders_bruteforce,
@@ -142,12 +144,11 @@ def cmd_eliminate(args):
     cache = Cache(args.cache_dir, enabled=not args.no_cache)
     timeout = None if args.unbounded else args.timeout
     params = {"backend": args.backend, "timeout": "none" if timeout is None else timeout}
-    scheme = build_scheme(args.r)
     cached = cache.load("equation", args.r, {"backend": args.backend})
     if cached is not None:
         equation = MultivariatePolynomial.from_json(cached)
     else:
-        raw = eliminate(scheme, backend=args.backend, timeout=timeout)
+        raw = eliminate(build_scheme(args.r), backend=args.backend, timeout=timeout)
         equation = compress_exponents(raw, args.r)
         cache.store("equation", args.r, {"backend": args.backend}, equation.to_json())
 
@@ -265,7 +266,7 @@ def build_parser():
         choices=["brute", "recurrence", "scheme", "linear-rec"],
         default="scheme",
     )
-    p.add_argument("--cap", type=int, default=12, help="brute-force total length cap")
+    p.add_argument("--cap", type=int, default=DEFAULT_BRUTE_CAP, help="brute-force total length cap")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("scheme", help="print the equation system")
@@ -275,7 +276,7 @@ def build_parser():
     p = sub.add_parser("eliminate", help="derive the algebraic equation for f_r")
     add_common(p)
     p.add_argument("--backend", choices=["buchberger", "resultants"], default="resultants")
-    p.add_argument("--timeout", type=float, default=120.0)
+    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     p.add_argument("--unbounded", action="store_true", help="no time limit (r=4 and up)")
     p.set_defaults(func=cmd_eliminate)
 

@@ -1,13 +1,15 @@
 """Buchberger's algorithm with an elimination block order, over the integers.
 
-Polynomials are plain dicts {exponent tuple: int}, kept content-free with a
-positive leading coefficient; reductions are fraction-free. Pair bookkeeping
+Polynomials are plain dicts {exponent tuple: int} kept in the form of
+`polynomials.primitive_terms`; reductions are fraction-free. Pair bookkeeping
 uses the Gebauer-Moeller criteria and the sugar selection strategy -- the
 schemes this runs on are small systems of quadratics, but the elimination
 orders make pair management the difference between seconds and hours.
 """
 
 from math import gcd
+
+from .polynomials import primitive_terms
 
 
 def block_elimination_key(nvars, elim_positions, kept_positions):
@@ -32,20 +34,6 @@ def block_elimination_key(nvars, elim_positions, kept_positions):
         return k
 
     return key
-
-
-def normalize(p):
-    """Content-free form with positive leading coefficient (any order: uses max exp)."""
-    if not p:
-        return p
-    g = 0
-    for c in p.values():
-        g = gcd(g, c)
-    if p[max(p)] < 0:
-        g = -g
-    if g == 1:
-        return p
-    return {e: c // g for e, c in p.items()}
 
 
 def _leading(p, key):
@@ -82,10 +70,10 @@ class _Entry:
 def normal_form(p, entries, key_fn, sugar=None):
     """Fully reduce p against the live basis entries; fraction-free.
 
-    Returns (reduced dict, sugar). The reduced polynomial is content-free
-    with positive leading coefficient. Integer content is stripped every few
-    steps: fraction-free reduction otherwise snowballs coefficient sizes
-    through the leading coefficients of the reducers.
+    Returns (reduced dict, sugar). The reduced polynomial is primitive.
+    Integer content is stripped every few steps: fraction-free reduction
+    otherwise snowballs coefficient sizes through the leading coefficients of
+    the reducers.
     """
     p = dict(p)
     done = set()
@@ -139,7 +127,7 @@ def normal_form(p, entries, key_fn, sugar=None):
             if g0 > 1:
                 for e in p:
                     p[e] //= g0
-    return normalize(p), sugar
+    return primitive_terms(p), sugar
 
 
 def _spoly(f, g, key_fn):
@@ -239,7 +227,7 @@ def groebner_basis(generators, key_fn, check=None):
     entries = []
     pairs = []
     for p in generators:
-        p = normalize(dict(p))
+        p = primitive_terms(p)
         if not p:
             continue
         p, _ = normal_form(p, entries, key_fn, 0)

@@ -1,16 +1,16 @@
-"""Sparse multivariate polynomials with exact rational coefficients.
+"""Sparse multivariate polynomials with integer coefficients.
 
-Polynomials are immutable. Coefficients are Python ints where possible and
-``fractions.Fraction`` otherwise; exponent vectors are tuples aligned with a
-fixed tuple of variable names; multiplication and exact division pack them
-into ints internally. Includes exact division, content/primitive
-normalization, pseudo-division, subresultant-PRS resultants and gcds --
-everything the elimination machinery needs, at desk scale (schoolbook
-algorithms throughout).
+Polynomials are immutable. Coefficients are Python ints; every division the
+package makes is exact over Z (by the subresultant theorem in the PRS, and
+by Gauss's lemma wherever the divisor is primitive). Exponent vectors are
+tuples aligned with a fixed tuple of variable names; multiplication and
+exact division pack them into ints internally. Includes exact division,
+content/primitive normalization, pseudo-division, subresultant-PRS
+resultants and gcds -- everything the elimination machinery needs, at desk
+scale (schoolbook algorithms throughout).
 """
 
 import random as _random
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd
@@ -20,13 +20,21 @@ class NonDivisibleError(ArithmeticError):
     """Exact polynomial division failed: divisor does not divide dividend."""
 
 
-def _norm_coeff(c):
-    # keep ints as ints; demote integral Fractions for speed and clean JSON
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return int(c)
-        return c
-    return c
+def primitive_terms(terms):
+    """{exponents: int} with the integer content divided out, signed so the
+    lex-largest coefficient is positive; `terms` itself when already so."""
+    if not terms:
+        return terms
+    g = 0
+    for c in terms.values():
+        g = gcd(g, c)
+        if g == 1:
+            break
+    if terms[max(terms)] < 0:
+        g = -g
+    if g == 1:
+        return terms
+    return {e: c // g for e, c in terms.items()}
 
 
 # ---------------- packed monomials ----------------
@@ -80,7 +88,6 @@ class MultivariatePolynomial:
         clean = {}
         nv = len(variables)
         for exps, c in terms.items():
-            c = _norm_coeff(c)
             if c == 0:
                 continue
             if len(exps) != nv:
@@ -153,7 +160,7 @@ class MultivariatePolynomial:
             raise ValueError(f"incompatible variable sets {self.variables} vs {other.variables}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = MultivariatePolynomial.constant(self.variables, other)
         self._check_compatible(other)
         out = dict(self.terms)
@@ -171,7 +178,7 @@ class MultivariatePolynomial:
         return MultivariatePolynomial(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = MultivariatePolynomial.constant(self.variables, other)
         return self + (-other)
 
@@ -179,7 +186,7 @@ class MultivariatePolynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             if other == 0:
                 return MultivariatePolynomial.zero(self.variables)
             return MultivariatePolynomial(
@@ -270,28 +277,10 @@ class MultivariatePolynomial:
 
     # ---------------- normalization ----------------
 
-    def rational_content(self):
-        """Positive rational c with self/c integer-primitive; 0 for zero."""
-        if not self.terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            f = Fraction(c)
-            num = gcd(num, f.numerator)
-            den = den * f.denominator // gcd(den, f.denominator)
-        return Fraction(num, den)
-
     def primitive(self):
         """Integer-primitive form with positive leading coefficient (lex order)."""
-        if not self.terms:
-            return self
-        cont = self.rational_content()
-        p = self * (1 / cont)
-        lead = max(p.terms)  # plain tuple comparison = lex in variable order
-        if p.terms[lead] < 0:
-            p = -p
-        return p
+        terms = primitive_terms(self.terms)
+        return self if terms is self.terms else MultivariatePolynomial(self.variables, terms)
 
     def strip_monomial_content(self):
         """Divide out the largest common monomial factor."""
@@ -350,33 +339,24 @@ class MultivariatePolynomial:
 
     def to_json(self):
         """Canonical JSON form: variables plus sorted (exponents, coeff) terms."""
-
-        def coeff_str(c):
-            f = Fraction(c)
-            return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
         return {
             "variables": list(self.variables),
             "terms": [
-                {"exponents": list(e), "coeff": coeff_str(self.terms[e])}
-                for e in sorted(self.terms)
+                {"exponents": list(e), "coeff": str(self.terms[e])} for e in sorted(self.terms)
             ],
         }
 
     @classmethod
     def from_json(cls, data):
-        terms = {}
-        for t in data["terms"]:
-            s = t["coeff"]
-            c = Fraction(s) if "/" in s else int(s)
-            terms[tuple(t["exponents"])] = c
+        """Inverse of to_json; a coefficient that is not an integer raises ValueError."""
+        terms = {tuple(t["exponents"]): int(t["coeff"]) for t in data["terms"]}
         return cls(tuple(data["variables"]), terms)
 
 
 # ---------------- exact division ----------------
 
 def exact_divide(num, den, check=None):
-    """Return q with num == den*q, else raise NonDivisibleError.
+    """Return q with num == den*q over Z, else raise NonDivisibleError.
 
     Long division cancelling leading terms under lex order, on packed
     monomials; a heap yields the remainder's leading term. An exact quotient
@@ -417,10 +397,9 @@ def exact_divide(num, den, check=None):
         if not all(lo <= x <= hi for lo, x, hi in zip(low, _unpack_key(lead, nv, width), high)):
             raise NonDivisibleError("leading term not divisible")
         e = lead - lead_d
-        if isinstance(c, int) and isinstance(cd, int) and c % cd == 0:
-            c = c // cd
-        else:
-            c = _norm_coeff(Fraction(c) / cd)
+        c, r = divmod(c, cd)
+        if r:
+            raise NonDivisibleError("leading coefficient not divisible")
         q[e] = c
         for ed, cdd in tail:
             k = e + ed
@@ -444,10 +423,6 @@ def _univ(p, name):
     return [p.coefficient_of(name, k) for k in range(d + 1)]
 
 
-def _univ_degree(coeffs):
-    return len(coeffs) - 1
-
-
 def _univ_trim(coeffs):
     while coeffs and coeffs[-1].is_zero:
         coeffs.pop()
@@ -455,18 +430,15 @@ def _univ_trim(coeffs):
 
 
 def _univ_to_poly(coeffs, name, variables):
+    """Inverse of _univ: the coefficients' monomials are disjoint once shifted."""
     i = variables.index(name)
-    out = MultivariatePolynomial.zero(variables)
+    out = {}
     for k, c in enumerate(coeffs):
-        if c.is_zero:
-            continue
-        shifted = {}
         for e, cc in c.terms.items():
             ee = list(e)
             ee[i] += k
-            shifted[tuple(ee)] = cc
-        out = out + MultivariatePolynomial(variables, shifted)
-    return out
+            out[tuple(ee)] = cc
+    return MultivariatePolynomial(variables, out)
 
 
 def pseudo_rem(f, g, name, check=None):
@@ -482,15 +454,15 @@ def pseudo_rem(f, g, name, check=None):
     G = _univ(g, name)
     if not G:
         raise ZeroDivisionError("pseudo-division by zero")
-    n = _univ_degree(G)
+    n = len(G) - 1
     lc = G.pop()
-    m = _univ_degree(R)
+    m = len(R) - 1
     if m < n:
         return f
     steps = 0
     while True:
         _univ_trim(R)
-        k = _univ_degree(R)
+        k = len(R) - 1
         if k < n:
             break
         # R <- lc*R - t*x^(k-n)*G; the x^k coefficient lc*t - t*lc is 0
@@ -569,7 +541,7 @@ def _subresultant_prs(f, g, name, check=None):
 # ---------------- gcd and square-free part ----------------
 
 def polynomial_gcd(p, q, check=None):
-    """gcd over the rationals, returned integer-primitive with positive lead.
+    """gcd over the integers, returned primitive with positive lead.
 
     A random-evaluation screen settles the common trivial case in one
     univariate gcd; a genuinely nontrivial gcd falls through to Brown's
@@ -604,14 +576,16 @@ def polynomial_gcd(p, q, check=None):
 
 
 SCREEN_TRIALS = 2  # nontrivial univariate gcds before the screen gives up
+SCREEN_PRIME = 2**61 - 1
 
 
 def _screened_gcd_degree(p, q, name):
     """Upper-bound check on deg_name(gcd) by specializing the other variables.
 
-    Returns 0 as soon as one specialization (preserving both leading
-    coefficients) has a trivial univariate gcd; otherwise returns a positive
-    number (possibly an overestimate -- callers only rely on the 0 case).
+    Returns 0 as soon as one specialization mod SCREEN_PRIME (preserving both
+    leading coefficients) has a trivial univariate gcd; otherwise returns a
+    positive number (possibly an overestimate -- callers only rely on the 0
+    case).
     """
     rng = _random.Random(0x5eed)
     others = [v for v in p.variables if v != name]
@@ -623,10 +597,12 @@ def _screened_gcd_degree(p, q, name):
         point = {v: rng.choice([-7, -5, -4, -3, -2, 2, 3, 4, 5, 7, 8, 11]) for v in others}
         a = _eval_univariate(p, name, point)
         b = _eval_univariate(q, name, point)
-        # the trimmed lists lose their top entry when a leading coefficient vanishes
+        # the trimmed lists lose their top entry when a leading coefficient
+        # vanishes mod SCREEN_PRIME; otherwise the image gcd has at least
+        # the true gcd's degree
         if len(a) <= p.degree(name) or len(b) <= q.degree(name):
             continue
-        d = _int_poly_gcd_degree(a, b)
+        d = _mod_gcd_degree(a, b)
         best = d if best is None else min(best, d)
         if best == 0:
             return 0
@@ -635,45 +611,35 @@ def _screened_gcd_degree(p, q, name):
 
 
 def _eval_univariate(p, name, point):
-    """Coefficient list of p with every variable but `name` specialized."""
+    """Coefficient list mod SCREEN_PRIME of p with every variable but `name`
+    specialized, trimmed of vanishing top entries."""
     i = p.variables.index(name)
+    others = [(j, point[v]) for j, v in enumerate(p.variables) if j != i]
     out = {}
     for e, c in p.terms.items():
-        v = Fraction(c)
-        for var, k in zip(p.variables, e):
-            if k and var != name:
-                v *= Fraction(point[var]) ** k
-        out[e[i]] = out.get(e[i], 0) + v
-    deg = max((k for k, v in out.items() if v != 0), default=-1)
-    return [out.get(k, 0) for k in range(deg + 1)]
+        for j, v in others:
+            if e[j]:
+                c = c * pow(v, e[j], SCREEN_PRIME) % SCREEN_PRIME
+        out[e[i]] = (out.get(e[i], 0) + c) % SCREEN_PRIME
+    coeffs = [out.get(k, 0) for k in range(max(out, default=-1) + 1)]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
 
 
-def _int_poly_gcd_degree(a, b):
-    """Degree of gcd of two univariate rational-coefficient polynomials."""
-
-    def trim(c):
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    a, b = trim(list(a)), trim(list(b))
-    if not a:
-        return len(b) - 1
-    if not b:
-        return len(a) - 1
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
+def _mod_gcd_degree(a, b):
+    """Degree of the gcd over GF(SCREEN_PRIME) of two trimmed coefficient lists."""
+    a, b = list(a), list(b)
     while b:
-        r = list(a)
-        while len(r) >= len(b):
-            factor = r[-1] / b[-1]
-            shift = len(r) - len(b)
-            for k in range(len(b)):
-                r[k + shift] -= factor * b[k]
-            r = trim(r)
-            if not r:
-                break
-        a, b = b, r
+        inv = pow(b[-1], -1, SCREEN_PRIME)
+        while len(a) >= len(b):
+            f = a.pop() * inv % SCREEN_PRIME
+            shift = len(a) - len(b) + 1
+            for k, c in enumerate(b[:-1], shift):
+                a[k] = (a[k] - f * c) % SCREEN_PRIME
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
     return len(a) - 1
 
 

@@ -2,7 +2,7 @@
 
 A series is a plain list of coefficients c_0..c_{N-1}, and its length is the
 cutoff N: nothing past it is known, so a product truncates to the shorter
-operand. Coefficients are exact (int or Fraction).
+operand. Coefficients are ints.
 """
 
 from functools import reduce

@@ -1,10 +1,8 @@
 """Packed-monomial multiplication and division against tuple-loop oracles.
 
 The oracles are the schoolbook loops on exponent tuples: no packing, and
-division stops only when a leading term fails to divide.
+division stops only when a leading term fails to divide over Z.
 """
-
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,7 +39,9 @@ def tuple_exact_divide(num, den):
         if any(a < b for a, b in zip(lead_r, lead_d)):
             raise NonDivisibleError("leading term not divisible")
         e = tuple(a - b for a, b in zip(lead_r, lead_d))
-        c = Fraction(rem[lead_r]) / cd
+        c, r = divmod(rem[lead_r], cd)
+        if r:
+            raise NonDivisibleError("leading coefficient not divisible")
         q[e] = c
         for ed, cdd in den.terms.items():
             ee = tuple(a + b for a, b in zip(e, ed))
@@ -59,7 +59,7 @@ def poly_triples(draw, exponents=st.integers(0, 3), max_size=5):
     variables = NAMES[: draw(st.integers(0, 4))]
     terms = st.dictionaries(
         st.tuples(*[exponents] * len(variables)),
-        st.one_of(st.integers(-9, 9), st.fractions(-3, 3, max_denominator=4)),
+        st.integers(-9, 9),
         max_size=max_size,
     )
     return [MP(variables, draw(terms)) for _ in range(3)]
@@ -75,15 +75,15 @@ def test_mul_matches_tuple_loop(polys):
     assert p * q == tuple_mul(p, q)
 
 
-@pytest.mark.parametrize("c", [0, 1, -3, Fraction(2, 3)])
+@pytest.mark.parametrize("c", [0, 1, -3])
 def test_mul_by_constant_polynomial(c):
-    p = MP(("x", "y"), {(15, 1): 2, (0, 16): Fraction(-1, 2), (0, 0): 5})
+    p = MP(("x", "y"), {(15, 1): 2, (0, 16): -7, (0, 0): 5})
     k = MP.constant(p.variables, c)
     assert p * k == k * p == tuple_mul(p, k) == p * c
 
 
 def test_mul_without_variables():
-    assert MP((), {(): 3}) * MP((), {(): Fraction(1, 3)}) == MP.constant((), 1)
+    assert MP((), {(): 3}) * MP((), {(): -2}) == MP.constant((), -6)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,10 +1,9 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from avoidwords.polynomials import (
     MultivariatePolynomial as MP,
+    SCREEN_PRIME,
     NonDivisibleError,
     exact_divide,
     polynomial_gcd,
@@ -80,6 +79,11 @@ def test_exact_divide_roundtrip():
 def test_exact_divide_failure():
     with pytest.raises(NonDivisibleError):
         exact_divide(X + ONE, Y)
+
+
+def test_exact_divide_needs_an_integer_quotient():
+    with pytest.raises(NonDivisibleError):
+        exact_divide(2 * X, poly({(0, 0): 4}))
 
 
 def test_pseudo_division_identity():
@@ -173,6 +177,13 @@ def test_gcd_trivial():
     assert polynomial_gcd(X, Y).is_constant()
 
 
+def test_gcd_screen_skips_points_where_a_leading_coefficient_vanishes():
+    # the x-leading coefficient SCREEN_PRIME*y vanishes mod SCREEN_PRIME at
+    # every sample point, where the images share no factor
+    g = SCREEN_PRIME * X * Y + ONE
+    assert polynomial_gcd(g * (X + 2), g * (X + 3)) == g
+
+
 def test_squarefree_part_removes_squares():
     p = (X + Y) ** 2 * (X - ONE)
     sf = squarefree_part(p, "x")
@@ -187,16 +198,23 @@ def test_squarefree_part_noop_on_squarefree():
 # -------- serialization --------
 
 def test_json_roundtrip():
-    p = poly({(2, 1): Fraction(3, 2), (0, 0): -4})
+    p = poly({(2, 1): 3, (0, 0): -4})
     data = p.to_json()
-    assert data["terms"][0]["coeff"] in ("-4", "3/2")
+    assert data["terms"][0]["coeff"] in ("-4", "3")
     assert MP.from_json(data) == p
 
 
+def test_from_json_rejects_a_fraction_coefficient():
+    data = {"variables": ["x", "y"], "terms": [{"exponents": [1, 0], "coeff": "3/2"}]}
+    with pytest.raises(ValueError):
+        MP.from_json(data)
+
+
 def test_primitive_form():
-    p = poly({(1, 0): Fraction(4, 6), (0, 0): Fraction(-2, 3)})
+    p = poly({(1, 0): -4, (0, 0): 4})
     prim = p.primitive()
     assert prim.terms == {(1, 0): 1, (0, 0): -1}
+    assert prim.primitive() is prim
 
 
 def test_strip_monomial_content():
