@@ -1,11 +1,14 @@
 """Words over {1,...,n}, length-3 pattern containment, and avoider counting.
 
 Three routes to the same counts live here: a depth-first search over multiset
-arrangements that prunes as soon as the partial word contains the pattern, a
-plain lexicographic full enumeration used as a cross-check oracle, and the
-symmetric multiset recurrence. The involution that exchanges 123- and
-132-avoidance is the combinatorial heart of the equality between the counts.
+arrangements that descends only into prefixes that can still avoid the
+pattern (for 132: that do not contain it yet), a plain lexicographic full
+enumeration used as a cross-check oracle, and the symmetric multiset
+recurrence. The involution that exchanges 123- and 132-avoidance is the
+combinatorial heart of the equality between the counts.
 """
+
+import sys
 
 P123 = (1, 2, 3)
 P132 = (1, 3, 2)
@@ -17,6 +20,8 @@ P321 = (3, 2, 1)
 DEFAULT_BRUTE_CAP = 12
 
 _INF = float("inf")
+# stack frames left to the callers of the multiset recurrence
+_RECURSION_HEADROOM = 200
 
 
 class BruteForceCapError(ValueError):
@@ -26,8 +31,11 @@ class BruteForceCapError(ValueError):
 def contains_pattern(word, pattern):
     """True iff some subsequence of distinct letters is order-isomorphic to the pattern.
 
-    Fast linear scans for 123/132/231; any other length-3 pattern falls back
-    to checking all index triples.
+    Linear scans for 123/132/231: 123 keeps two running minima, and 132
+    and 231 share one stack scan, since a word avoids 231 iff it is
+    stack-sortable (Knuth, TAOCP vol. 1, 2.2.1) and 132 is 231 read
+    backwards. Any other length-3 pattern falls back to checking all index
+    triples.
     """
     word = tuple(word)
     if pattern == P123:
@@ -69,32 +77,22 @@ def _contains_123(word):
 
 
 def _contains_132(word):
-    # c completes 1-3-2 iff some earlier v > c had prefix-min < c at its time
-    m1 = _INF
-    best = {}  # letter v -> min prefix-min over earlier occurrences of v
-    for c in word:
-        for v, mv in best.items():
-            if v > c and mv < c:
-                return True
-        if m1 < best.get(c, _INF):
-            best[c] = m1
-        if c < m1:
-            m1 = c
+    # read right to left, a 1-3-2 is a 2-3-1: the stack holds the letters
+    # with no larger letter after them yet, and low, the largest letter
+    # popped, is the largest with one; a later letter below low completes it
+    low = 0
+    stack = []
+    for c in reversed(word):
+        if c < low:
+            return True
+        while stack and stack[-1] < c:
+            low = stack.pop()
+        stack.append(c)
     return False
 
 
 def _contains_231(word):
-    # c completes 2-3-1 iff c < u for some earlier u followed by a larger letter
-    best = 0  # largest letter seen that has a strictly larger letter after it
-    seen = set()
-    for c in word:
-        if c < best:
-            return True
-        for u in seen:
-            if best < u < c:
-                best = u
-        seen.add(c)
-    return False
+    return _contains_132(word[::-1])
 
 
 # ---------------- multiset enumeration ----------------
@@ -134,67 +132,25 @@ def count_avoiders_enumeration(multiplicities, pattern):
     )
 
 
-# Incremental containment states for the pruned search. Each push returns
-# the data pop needs to restore, or None when appending the letter would
-# complete the pattern (so the whole subtree is pruned).
-
-def _push123(c, state):
-    m1, m2 = state[0], state[1]
-    if c > m2:
-        return None
-    if m1 < c < m2:
-        state[1] = c
-    if c < m1:
-        state[0] = c
-    return (m1, m2)
-
-
-def _pop123(c, saved, state):
-    state[0], state[1] = saved
-
-
-def _push132(c, state):
-    m1, best = state
-    for v in range(c + 1, len(best)):
-        if best[v] < c:
-            return None
-    saved = (m1[0], best[c])
-    if m1[0] < best[c]:
-        best[c] = m1[0]
-    if c < m1[0]:
-        m1[0] = c
-    return saved
-
-
-def _pop132(c, saved, state):
-    m1, best = state
-    m1[0], best[c] = saved
-
-
-def _push231(c, state):
-    b, seen = state
-    if c < b[0]:
-        return None
-    saved = (b[0], seen[c])
-    for u in range(b[0] + 1, c):
-        if seen[u]:
-            b[0] = u
-    seen[c] = True
-    return saved
-
-
-def _pop231(c, saved, state):
-    b, seen = state
-    b[0], seen[c] = saved
-
-
 def count_avoiders_bruteforce(multiplicities, pattern, cap=DEFAULT_BRUTE_CAP):
     """Exact number of arrangements of the multiset avoiding the pattern.
 
-    Depth-first search over arrangements in lexicographic order; a branch is
-    cut as soon as the partial word already contains the pattern, since
-    containment is monotone under extension. Total length is capped
-    (default 12) because the avoider tree still grows fast.
+    Depth-first search over arrangements; each leaf is one avoiding word.
+    For 123 and 231 the search visits only prefixes that extend to an
+    avoider:
+
+    * 123: with m2 the smallest letter that has a smaller letter before it,
+      a prefix is live iff every letter still to place is <= m2. m2 never
+      increases, so a remaining letter above it completes a 123; if none is
+      above it, the remaining letters in decreasing order avoid 123.
+    * 231: with b the largest letter that has a larger letter after it, a
+      prefix is live iff every letter still to place is >= b. b never
+      decreases, so a remaining letter below it completes a 231; if none is
+      below it, the remaining letters in increasing order avoid 231.
+
+    For 132 a branch is cut as soon as the partial word contains the
+    pattern, since containment is monotone under extension. Total length is
+    capped (default 12), which bounds the avoiders enumerated.
     """
     multiplicities = list(multiplicities)
     if any(a < 0 for a in multiplicities):
@@ -202,39 +158,101 @@ def count_avoiders_bruteforce(multiplicities, pattern, cap=DEFAULT_BRUTE_CAP):
     total = sum(multiplicities)
     if total > cap:
         raise BruteForceCapError(f"total length {total} exceeds cap {cap}")
-    nletters = len(multiplicities)
     if pattern == P123:
-        push, pop, state = _push123, _pop123, [_INF, _INF]
-    elif pattern == P132:
-        push, pop, state = _push132, _pop132, ([_INF], [_INF] * (nletters + 1))
-    elif pattern == P231:
-        push, pop, state = _push231, _pop231, ([0], [False] * (nletters + 1))
-    else:
-        return count_avoiders_enumeration(multiplicities, pattern)
-    return _count_avoiders_dfs(multiplicities, push, pop, state)
+        return _count_123_avoiders(multiplicities, total)
+    if pattern == P231:
+        return _count_231_avoiders(multiplicities, total)
+    if pattern == P132:
+        return _count_132_avoiders(multiplicities, total)
+    return count_avoiders_enumeration(multiplicities, pattern)
 
 
-def _count_avoiders_dfs(multiplicities, push, pop, state):
-    counts = list(multiplicities)
-    letters = [i + 1 for i, a in enumerate(counts) if a > 0]
+def _count_123_avoiders(multiplicities, total):
+    counts = [1] + multiplicities  # counts[0] stops the scan for the top letter
+    letters = [c for c in range(1, len(counts)) if counts[c]]
 
-    def rec(remaining):
+    # m1: smallest letter placed; m2: as in the docstring; hi: largest
+    # letter left, never above m2. Between m1 and m2 only hi keeps every
+    # remaining letter <= the new m2.
+    def rec(m1, m2, hi, remaining):
+        if remaining <= 1:  # a live prefix one letter short has one completion
+            return 1
+        total = 0
+        for c in letters:
+            if c > hi:
+                break
+            k = counts[c]
+            if not k or m1 < c < m2 and c < hi:
+                continue
+            counts[c] = k - 1
+            h = hi
+            while not counts[h]:
+                h -= 1
+            total += rec(min(c, m1), c if m1 < c < m2 else m2, h, remaining - 1)
+            counts[c] = k
+        return total
+
+    return rec(_INF, _INF, letters[-1] if letters else 0, total)
+
+
+def _count_231_avoiders(multiplicities, total):
+    full = [0] + multiplicities
+    counts = full + [1]  # the last entry stops the scan for the bottom letter
+    letters = range(1, len(full))
+
+    # b: as in the docstring; lo: smallest letter left, never below b. Placing
+    # c makes the largest placed letter below c (or b) the new b, so the
+    # walk stops once a placed letter above lo has gone by.
+    def rec(b, lo, remaining):
+        if remaining <= 1:  # a live prefix one letter short has one completion
+            return 1
+        total = 0
+        top = b
+        for c in letters:
+            k = counts[c]
+            if k:
+                counts[c] = k - 1
+                low = lo
+                while not counts[low]:
+                    low += 1
+                total += rec(top, low, remaining - 1)
+                counts[c] = k
+            if k < full[c] and c > top:
+                top = c
+                if top > lo:
+                    break
+        return total
+
+    lo = next((c for c in letters if counts[c]), len(full))
+    return rec(0, lo, total)
+
+
+def _count_132_avoiders(multiplicities, total):
+    counts = [0] + multiplicities
+    letters = [c for c in range(len(counts) - 1, 0, -1) if counts[c]]
+    # best[v]: the least letter placed before some v; appending c completes
+    # a 132 iff best[v] < c for some v > c, so the walk goes down the letters
+    best = [_INF] * len(counts)
+
+    def rec(m1, remaining):
         if remaining == 0:
             return 1
         total = 0
-        for letter in letters:
-            if counts[letter - 1] == 0:
-                continue
-            saved = push(letter, state)
-            if saved is None:
-                continue
-            counts[letter - 1] -= 1
-            total += rec(remaining - 1)
-            counts[letter - 1] += 1
-            pop(letter, saved, state)
+        above = _INF  # the least best[v] over the letters v > c
+        for c in letters:
+            k = counts[c]
+            saved = best[c]
+            if k and above >= c:
+                best[c] = min(saved, m1)
+                counts[c] = k - 1
+                total += rec(min(m1, c), remaining - 1)
+                counts[c] = k
+                best[c] = saved
+            if saved < above:
+                above = saved
         return total
 
-    return rec(sum(counts))
+    return rec(_INF, total)
 
 
 # ---------------- the avoidance involution ----------------
@@ -290,29 +308,33 @@ def count_avoiders_recurrence(multiplicities):
     CPython threads are safe under the GIL; the intended contract is still
     one call tree per thread.
     """
-    key = tuple(sorted(a for a in multiplicities if a > 0))
+    multiplicities = list(multiplicities)
     if any(a < 0 for a in multiplicities):
         raise ValueError("multiplicities must be nonnegative")
-    return _A_recurse(key)
+    key = tuple(sorted(a for a in multiplicities if a > 0))
+    deepest = sys.getrecursionlimit() - _RECURSION_HEADROOM
+    if sum(key) > deepest:  # the recursion goes one level deeper per letter
+        raise ValueError(f"total length {sum(key)} is too deep for the recurrence (max {deepest})")
+    return _A_MEMO.get(key) or _A_recurse(key)
 
 
 def _A_recurse(key):
     if not key:
         return 1
-    hit = _A_MEMO.get(key)
-    if hit is not None:
-        return hit
-    # key is sorted, so each child key is sorted without sorting: the suffix
-    # sum s is at least every letter kept and goes last, and v - 1 goes at
-    # the start of the run of v; zeros are dropped
+    # key is sorted and not in the memo. Each child key is sorted without
+    # sorting: v - 1 goes at the start of the run of v, the suffix sum s is at
+    # least every letter kept and goes last; zeros are dropped. Every value
+    # is >= 1, so `or` calls the recursion only on a memo miss
     total = 0
     s = sum(key)
-    run = 0
     for i, v in enumerate(key):
         s -= v
-        if v != key[run]:
+        if not i or v != key[i - 1]:
             run = i
-        lowered = (v - 1,) if v > 1 else ()
-        total += _A_recurse(key[:run] + lowered + key[run:i] + ((s,) if s else ()))
+            head = key[:i] + (v - 1,) if v > 1 else key[:i]
+        child = head + key[run:i]
+        if s:
+            child += (s,)
+        total += _A_MEMO.get(child) or _A_recurse(child)
     _A_MEMO[key] = total
     return total

@@ -185,6 +185,7 @@ BAD_INPUTS = [
     (("count", "--r", "2", "--nmax", "-1"), EXIT_ERROR, "--nmax"),
     (("count", "--r", "0", "--nmax", "3", "--method", "brute"), EXIT_ERROR, "--r"),
     (("count", "--r", "2", "--nmax", "-1", "--method", "recurrence"), EXIT_ERROR, "--nmax"),
+    (("count", "--r", "600", "--nmax", "2", "--method", "recurrence"), EXIT_ERROR, "too deep"),
     (("scheme", "--r", "-2"), EXIT_ERROR, "--r"),
     (("eliminate", "--r", "0"), EXIT_ERROR, "--r"),
     (("guess", "--r", "0"), EXIT_ERROR, "--r"),

@@ -59,6 +59,13 @@ def test_fast_scans_agree_with_naive(word):
         assert contains_pattern(word, p) == _naive_contains(word, p)
 
 
+def test_stack_scans_agree_with_naive_on_every_short_word():
+    for n in range(8):
+        for word in itertools.product(range(1, 5), repeat=n):
+            for p in (P132, P231):
+                assert contains_pattern(word, p) == _naive_contains(word, p), (word, p)
+
+
 # -------- brute-force counting --------
 
 def test_catalan_c3():
@@ -91,6 +98,18 @@ def test_pruned_search_equals_full_enumeration(vector, pattern):
     assert count_avoiders_bruteforce(vector, pattern) == count_avoiders_enumeration(
         vector, pattern
     )
+
+
+def test_pruned_search_equals_full_enumeration_on_every_small_vector():
+    # zeros and unsorted vectors included
+    for n in range(6):
+        for vector in itertools.product(range(4), repeat=n):
+            if sum(vector) > 8:
+                continue
+            for pattern in (P123, P132, P231):
+                assert count_avoiders_bruteforce(vector, pattern) == (
+                    count_avoiders_enumeration(vector, pattern)
+                ), (vector, pattern)
 
 
 def test_generic_pattern_falls_back():
@@ -126,6 +145,11 @@ def test_recurrence_base_values():
     assert count_avoiders_recurrence((1, 1)) == 2
     assert count_avoiders_recurrence((1, 1, 1)) == 5
     assert count_avoiders_recurrence((2, 2, 2)) == 43
+
+
+def test_recurrence_validates_an_iterator_before_consuming_it():
+    with pytest.raises(ValueError, match="nonnegative"):
+        count_avoiders_recurrence(iter([2, -1]))
 
 
 def test_recurrence_symmetric():
