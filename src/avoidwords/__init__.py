@@ -11,9 +11,10 @@ __version__ = "0.1.0"
 
 import sys as _sys
 
-# terms like w_5(2000) have thousands of decimal digits and are rendered as
-# strings in JSON and b-file output; the CPython conversion guard would
-# reject them
+# terms of thousands of decimal digits pass through int <-> str: in the
+# scheme, brute-force and recurrence counts the CLI prints, and in cached
+# sequences read back; the CPython conversion guard would reject them.
+# `count --method linear-rec` prints decimals, which the guard does not limit
 if hasattr(_sys, "set_int_max_str_digits"):
     _sys.set_int_max_str_digits(max(_sys.get_int_max_str_digits(), 2_000_000))
 

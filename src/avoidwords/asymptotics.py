@@ -193,26 +193,39 @@ class AsymptoticReport:
         return lines
 
 
-def sequence_for(r, nmax):
-    """Terms w_r(0..nmax) and the path that made them.
+def verified_recurrence(r):
+    """The cached recurrence for w_r and the fresh scheme terms that verified it.
 
-    Returns (list of terms, source). A cached recurrence is preferred: it is
-    re-verified against freshly computed scheme terms before it is trusted
-    for the long extension (source "recurrence-extension"). With no cached
-    recurrence, or when the check terms already reach nmax, the terms are
-    the scheme series' own (source "scheme-series", quadratic cost).
+    Returns (recurrence, terms w_r(0..check length)), or None when no
+    recurrence is cached. The recurrence must reproduce at least
+    max(CHECK_TERMS, order + 10) + 1 freshly computed scheme terms before it
+    is trusted for a long extension; ArithmeticError when it does not.
     """
     try:
         rec = load_cached_recurrence(r)
     except (FileNotFoundError, KeyError):
-        rec = None
-    if rec is None:
-        return word_counts(r, nmax), "scheme-series"
-    check_len = max(CHECK_TERMS, rec.order + 10)
-    initial = word_counts(r, check_len)
+        return None
+    initial = word_counts(r, max(CHECK_TERMS, rec.order + 10))
     if not rec.verify(initial):
         raise ArithmeticError(f"cached recurrence for r={r} fails on fresh terms")
-    if nmax <= check_len:
+    return rec, initial
+
+
+def sequence_for(r, nmax):
+    """Terms w_r(0..nmax) and the path that made them.
+
+    Returns (list of terms, source). A cached recurrence is preferred: once
+    `verified_recurrence` has checked it, it extends the check terms (source
+    "recurrence-extension"). With no cached recurrence, or when the check
+    terms already reach nmax, the terms are the scheme series' own (source
+    "scheme-series"); for long sequences the series costs far more than the
+    extension, and its time grows faster than quadratically in nmax.
+    """
+    verified = verified_recurrence(r)
+    if verified is None:
+        return word_counts(r, nmax), "scheme-series"
+    rec, initial = verified
+    if nmax < len(initial):
         return initial[: nmax + 1], "scheme-series"
     return rec.extend(initial, nmax), "recurrence-extension"
 

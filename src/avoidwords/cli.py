@@ -16,6 +16,19 @@ import argparse
 import json
 import sys
 from datetime import datetime, timezone
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+    Rounded,
+    localcontext,
+)
 
 from . import __version__
 from .asymptotics import (
@@ -23,7 +36,7 @@ from .asymptotics import (
     TooFewTermsError,
     conjecture_check,
     report_table,
-    sequence_for,
+    verified_recurrence,
 )
 from .cache import Cache
 from .elimination import (
@@ -37,7 +50,7 @@ from .elimination import (
     match_equation,
     verify_annihilation,
 )
-from .fixtures import load_cached_recurrence, reference_equation
+from .fixtures import reference_equation
 from .guessing import (
     InsufficientTermsError,
     guess_algebraic,
@@ -72,6 +85,15 @@ EXIT_CODES = (
     ((ValueError, OSError), EXIT_ERROR),
 )
 
+# `count --method linear-rec` extends its recurrence in decimal: libmpdec
+# keeps base 10**19 digits, so printing a term is linear in its length, where
+# int -> str is quadratic. Every term is an integer with exponent 0 and prints
+# as plain digits; any step that would round traps instead
+EXACT = Context(
+    prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+    traps=[Inexact, Rounded, InvalidOperation, DivisionByZero, Overflow],
+)
+
 
 def _emit_json(command, parameters, result):
     doc = {
@@ -103,13 +125,14 @@ def _counts_via(method, r, nmax, cap, cache):
     if method == "recurrence":
         return [count_avoiders_recurrence((r,) * n) for n in range(nmax + 1)]
     if method == "linear-rec":
-        try:
-            load_cached_recurrence(r)
-        except (FileNotFoundError, KeyError) as exc:
-            raise InsufficientTermsError(
-                f"no verified recurrence available for r={r}"
-            ) from exc
-        return sequence_for(r, nmax)[0]
+        verified = verified_recurrence(r)
+        if verified is None:
+            raise InsufficientTermsError(f"no verified recurrence available for r={r}")
+        rec, initial = verified
+        if nmax < len(initial):
+            return initial[: nmax + 1]
+        with localcontext(EXACT):
+            return rec.extend([Decimal(t) for t in initial], nmax)
     raise ValueError(f"unknown method {method}")
 
 

@@ -266,28 +266,35 @@ def avoidance_involution(word):
     reverse order at the clipped positions, and put i back in front.
 
     The recursion is unrolled. Clipping only ever lowers letters to a bound
-    (one more than the smallest head so far), so one descent records each
-    level's head and deleted letters; one unwind then re-inserts them,
-    innermost level first, on an output kept in reverse.
+    (one more than the smallest head so far), so one descent records the
+    levels and one unwind re-inserts their deleted letters, innermost level
+    first, on an output kept in reverse. Only a head that is a strict
+    left-to-right minimum needs a level. Any other head is clipped to the
+    bound and deletes nothing, or equals the running minimum and deletes
+    only letters already clipped to head+1, which go back to positions that
+    hold head+1; so its output letter is head+1 when it was clipped and the
+    head otherwise.
     """
     word = tuple(word)
-    levels = []
-    bound = max(word, default=0) + 1
+    levels = []  # (position, head, clip bound) of each strict minimum
+    low = max(word, default=0) + 1
     for d, c in enumerate(word):
-        if c >= bound:
-            levels.append((bound, None))  # clipped head: nothing above it
-        else:
-            levels.append((c, [w if w < bound else bound for w in word[d + 1:] if w > c]))
-            bound = c + 1
+        if c < low:
+            levels.append((d, c, low + 1))
+            low = c
     out = []
-    for i, deleted in reversed(levels):
+    end = len(word)
+    for d, i, bound in reversed(levels):
+        top = i + 1
+        out += [i if c == i else top for c in word[end - 1:d:-1]]
+        deleted = [w if w < bound else bound for w in word[d + 1:] if w > i]
         if deleted:
-            top = i + 1
             # read backwards, the clipped positions take the deleted letters
             # in their original order
             nxt = iter(deleted).__next__
             out = [nxt() if c == top else c for c in out]
         out.append(i)
+        end = d
     out.reverse()
     return tuple(out)
 

@@ -99,3 +99,11 @@ def test_report_source_is_the_path_that_ran():
     assert sequence_for(2, 20)[1] == "scheme-series"
     supplied = sequence_for(1, 100)[0]
     assert conjecture_check(1, seq=supplied).source == "supplied"
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_sequence_for_returns_only_ints(r):
+    # the CLI prints linear-rec terms from decimals; none may leak out of here
+    seq, source = sequence_for(r, 2000)
+    assert source == "recurrence-extension" and len(seq) == 2001
+    assert all(type(t) is int for t in seq)

@@ -1,9 +1,14 @@
+import contextlib
 import json
+import math
+import time
+from decimal import Decimal, Inexact, localcontext
 
 import pytest
 
 import avoidwords
 from avoidwords import cli
+from avoidwords.asymptotics import sequence_for
 from avoidwords.cache import Cache
 from avoidwords.cli import (
     EXIT_CAP,
@@ -83,6 +88,47 @@ def test_scheme_json(capsys, tmp_path):
     assert code == EXIT_OK
     doc = json.loads(out)
     assert set(doc["result"]["equations"]) == {"0,0", "0,1", "1,1"}
+
+
+def test_exact_context_refuses_to_round():
+    # libmpdec cannot allocate MAX_PREC digits for an inexact quotient, so the
+    # division raises before it could round
+    with localcontext(cli.EXACT), pytest.raises((Inexact, MemoryError)):
+        Decimal(1) / 3
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_linear_rec_decimal_terms_equal_int_extension(capsys, tmp_path, r):
+    code, out, _ = run(
+        capsys, "count", "--r", str(r), "--nmax", "120", "--method", "linear-rec",
+        "--format", "json", "--cache-dir", str(tmp_path),
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["result"]["terms"] == [str(t) for t in sequence_for(r, 120)[0]]
+
+
+def test_catalan_bfile_to_20000_within_budget(tmp_path):
+    # 120 MB of digits: printing them costs time linear in their length only
+    # because the terms are decimals; as ints, str() is quadratic in each
+    path = tmp_path / "catalan.txt"
+    start = time.perf_counter()
+    with open(path, "w") as out, contextlib.redirect_stdout(out):
+        code = main([
+            "count", "--r", "1", "--nmax", "20000", "--method", "linear-rec",
+            "--format", "bfile", "--no-cache",
+        ])
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_OK
+    assert elapsed < 5.0, f"b-file took {elapsed:.1f} s"
+    wanted = {0, 1, 2, 1000, 20000}
+    got = {}
+    with open(path) as lines:
+        assert next(lines).startswith("# w_r(n) for r=1")
+        for line in lines:
+            n, value = line.split()
+            if int(n) in wanted:
+                got[int(n)] = value
+    assert got == {n: str(math.comb(2 * n, n) // (n + 1)) for n in wanted}
 
 
 def test_linear_rec_unavailable_exit_code(capsys, tmp_path):

@@ -1,7 +1,10 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
 from avoidwords import linalg
+from avoidwords.cli import EXACT
 from avoidwords.elimination import match_equation
 from avoidwords.fixtures import reference_equation, reference_recurrence
 from avoidwords.guessing import (
@@ -133,6 +136,13 @@ def test_non_integral_extension_detected():
     rec = LinearRecurrence(((-1,), (3,)))
     with pytest.raises(NonIntegralExtensionError):
         rec.extend([1], 3)
+
+
+def test_non_integral_extension_detected_on_exact_decimals():
+    # the CLI's decimal extension keeps divmod's remainder as its exactness gate
+    rec = LinearRecurrence(((-1,), (3,)))
+    with localcontext(EXACT), pytest.raises(NonIntegralExtensionError):
+        rec.extend([Decimal(1)], 3)
 
 
 def test_guess_idempotent_after_extension():

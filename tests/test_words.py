@@ -3,6 +3,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from involution_oracle import involution_every_level
 
 from avoidwords.words import (
     P123,
@@ -125,6 +126,19 @@ def test_involution_fixes_empty():
 def test_involution_hand_examples():
     assert avoidance_involution((2, 2, 1)) == (2, 2, 1)
     assert avoidance_involution((1, 3, 2)) == (1, 2, 3)
+
+
+def test_involution_equals_every_level_oracle():
+    # every word in {1..5}^<=6, then longer words over sparse large alphabets,
+    # where clipping lowers letters by more than one
+    for length in range(7):
+        for word in itertools.product(range(1, 6), repeat=length):
+            assert avoidance_involution(word) == involution_every_level(word)
+    rng = random.Random(11)
+    for _ in range(2000):
+        letters = rng.sample(range(1, 1001), rng.randint(1, 9))
+        word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 30)))
+        assert avoidance_involution(word) == involution_every_level(word)
 
 
 @settings(max_examples=250)
