@@ -37,7 +37,8 @@ def contains_pattern(word, pattern):
     backwards. Any other length-3 pattern falls back to checking all index
     triples.
     """
-    word = tuple(word)
+    if type(word) is not tuple:
+        word = tuple(word)
     if pattern == P123:
         return _contains_123(word)
     if pattern == P132:
@@ -275,9 +276,13 @@ def avoidance_involution(word):
     hold head+1; so its output letter is head+1 when it was clipped and the
     head otherwise.
     """
-    word = tuple(word)
-    levels = []  # (position, head, clip bound) of each strict minimum
-    low = max(word, default=0) + 1
+    if type(word) is not tuple:
+        word = tuple(word)
+    if not word:
+        return ()
+    first = word[0]
+    levels = []  # (position, head, clip bound) of each later strict minimum
+    low = first
     for d, c in enumerate(word):
         if c < low:
             levels.append((d, c, low + 1))
@@ -295,6 +300,15 @@ def avoidance_involution(word):
             out = [nxt() if c == top else c for c in out]
         out.append(i)
         end = d
+    # the first letter is a strict minimum with no bound above it: its
+    # deleted letters are not clipped
+    top = first + 1
+    out += [first if c == first else top for c in word[end - 1:0:-1]]
+    deleted = [w for w in word if w > first]
+    if deleted:
+        nxt = iter(deleted).__next__
+        out = [nxt() if c == top else c for c in out]
+    out.append(first)
     out.reverse()
     return tuple(out)
 
@@ -309,39 +323,90 @@ def count_avoiders_recurrence(multiplicities):
 
     A(a_1,...,a_n) = sum_i A(a_1,...,a_{i-1}, a_i - 1, a_{i+1}+...+a_n), with
     A() = 1; components that hit zero are dropped. The value is symmetric in
-    its arguments, so memoization keys are sorted vectors with zeros removed.
+    its arguments, so the vector is taken in ascending order and a memo key
+    lists its runs of equal entries as (v1, n1, v2, n2, ...): value v_k
+    occurs n_k times, v1 < v2 < ....
 
-    The memo table is a plain dict with idempotent inserts, so concurrent
-    CPython threads are safe under the GIL; the intended contract is still
-    one call tree per thread.
+    The n children of one run (value v, n copies, S the sum of the entries
+    after it, H the entries before it plus one v - 1) are
+    H + v^j + {S + (n-1-j)v} for j < n, and their sum obeys
+    U(H, v, J, S) = A(H + v^(J-1) + {S}) + U(H, v, J-1, S + v),
+    U(H, v, 0, S) = 0. So A is one U per run, and U chains that different
+    parents share are summed once: a table of U values lives for one call,
+    while the A memo persists across calls.
+
+    The A memo is a plain dict with idempotent inserts and the U table is
+    local to the call, so concurrent CPython threads are safe under the GIL;
+    the intended contract is still one call tree per thread.
     """
     multiplicities = list(multiplicities)
     if any(a < 0 for a in multiplicities):
         raise ValueError("multiplicities must be nonnegative")
-    key = tuple(sorted(a for a in multiplicities if a > 0))
+    entries = sorted(a for a in multiplicities if a > 0)
+    size = sum(entries)
     deepest = sys.getrecursionlimit() - _RECURSION_HEADROOM
-    if sum(key) > deepest:  # the recursion goes one level deeper per letter
-        raise ValueError(f"total length {sum(key)} is too deep for the recurrence (max {deepest})")
-    return _A_MEMO.get(key) or _A_recurse(key)
+    if size > deepest:  # the recursion goes one level deeper per letter
+        raise ValueError(f"total length {size} is too deep for the recurrence (max {deepest})")
+    runs = []
+    for a in entries:
+        if runs and runs[-2] == a:
+            runs[-1] += 1
+        else:
+            runs += (a, 1)
+    key = tuple(runs)
+    return _A_MEMO.get(key) or _A_recurse(key, {}, size)
 
 
-def _A_recurse(key):
+def _A_recurse(key, sums, size):
     if not key:
         return 1
-    # key is sorted and not in the memo. Each child key is sorted without
-    # sorting: v - 1 goes at the start of the run of v, the suffix sum s is at
-    # least every letter kept and goes last; zeros are dropped. Every value
-    # is >= 1, so `or` calls the recursion only on a memo miss
+    # key is not in the memo and lists `size` letters; sums maps
+    # head + (j, top) to U(head, v, j + 1, top), v being one more than
+    # head's last value (1 for an empty head). Every child key stays in run
+    # form without sorting: head's values are below v and a lump top is 0,
+    # v or above v. Every value is >= 1, so `or` calls the recursion only on
+    # a memo miss, and the U chain is walked in this frame, so the recursion
+    # goes one level deeper per letter
     total = 0
-    s = sum(key)
-    for i, v in enumerate(key):
-        s -= v
-        if not i or v != key[i - 1]:
-            run = i
-            head = key[:i] + (v - 1,) if v > 1 else key[:i]
-        child = head + key[run:i]
-        if s:
-            child += (s,)
-        total += _A_MEMO.get(child) or _A_recurse(child)
+    s = size  # then the sum of the entries after the current run
+    size -= 1  # each child lists one letter less
+    r = 0
+    it = iter(key)
+    for v, n in zip(it, it):
+        s -= v * n
+        if v == 1:
+            head = ()
+        elif r and key[r - 2] == v - 1:
+            head = key[:r - 1] + (key[r - 1] + 1,)
+        else:
+            head = key[:r] + (v - 1, 1)
+        r += 2
+        if n == 1:
+            child = head + (s, 1) if s else head
+            total += _A_MEMO.get(child) or _A_recurse(child, sums, size)
+            continue
+        # children with j = n-1, n-2, ... copies of v kept, lump top = S + (n-1-j)v
+        top = s
+        walked = []
+        for j in range(n - 1, 0, -1):
+            ukey = head + (j, top)
+            got = sums.get(ukey)
+            if got is not None:
+                break
+            if top == v:
+                child = head + (v, j + 1)
+            elif top:
+                child = head + (v, j, top, 1)
+            else:
+                child = head + (v, j)
+            walked.append((ukey, _A_MEMO.get(child) or _A_recurse(child, sums, size)))
+            top += v
+        else:
+            child = head + (top, 1)
+            got = _A_MEMO.get(child) or _A_recurse(child, sums, size)
+        for ukey, a in reversed(walked):
+            got += a
+            sums[ukey] = got
+        total += got
     _A_MEMO[key] = total
     return total

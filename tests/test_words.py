@@ -1,10 +1,16 @@
 import itertools
 import random
+import re
+import sys
+import threading
+from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from involution_oracle import involution_every_level
+from recurrence_oracle import recurrence_sorted_keys
 
+from avoidwords import words
 from avoidwords.words import (
     P123,
     P132,
@@ -197,3 +203,65 @@ def test_equinumeracy_spot_checks():
         c123 = count_avoiders_bruteforce(v, P123)
         assert count_avoiders_bruteforce(v, P132) == c123
         assert count_avoiders_bruteforce(v, P231) == c123
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6), max_size=7))
+@example([])
+@example([0, 0, 5, 0])  # zeros
+@example([4, 4, 4, 4, 4, 4, 4])  # one run
+@example([2, 5, 2, 5, 5, 1, 2])  # repeats in several runs
+@example([0, 1, 2, 3, 4, 5, 6])  # all distinct
+def test_recurrence_equals_sorted_key_oracle(vector):
+    assert count_avoiders_recurrence(vector) == recurrence_sorted_keys(vector)
+
+
+# r=3 and r=5 at the nmax of the oracle benchmark's recurrence jobs; r=1, 2
+# and 4 at an nmax of similar cost
+@pytest.mark.parametrize("r, nmax", [(1, 60), (2, 40), (3, 36), (4, 26), (5, 22)])
+def test_recurrence_sequences_equal_sorted_key_oracle(r, nmax):
+    vectors = [(r,) * n for n in range(nmax + 1)]
+    assert [count_avoiders_recurrence(v) for v in vectors] == [
+        recurrence_sorted_keys(v) for v in vectors
+    ]
+
+
+def test_recurrence_reaches_the_stated_depth(monkeypatch):
+    # a cold memo makes the recursion go one level deeper per letter
+    monkeypatch.setattr(words, "_A_MEMO", {})
+    with pytest.raises(ValueError, match="too deep") as info:
+        count_avoiders_recurrence((10**6,))
+    deepest = int(re.search(r"\(max (\d+)\)", str(info.value)).group(1))
+    half = deepest // 2
+    assert count_avoiders_recurrence((deepest,)) == 1
+    assert count_avoiders_recurrence((half, deepest - half)) == comb(deepest, half)
+    for vector in ((deepest + 1,), (half, deepest + 1 - half)):
+        with pytest.raises(ValueError, match=f"total length {deepest + 1} .*max {deepest}"):
+            count_avoiders_recurrence(vector)
+
+
+def test_recurrence_threads_get_oracle_values(monkeypatch):
+    # call trees on different vectors share one cold memo, with more threads
+    # than this suite's 2-core hosts have cores; a short switch interval
+    # makes them interleave inside the recursion
+    monkeypatch.setattr(words, "_A_MEMO", {})
+    vectors = [(3,) * 22, (2, 2, 3, 3, 3, 4, 4, 5, 6, 6, 7, 8, 9), (1, 2, 3) * 6]
+    barrier = threading.Barrier(len(vectors))
+    results = {}
+
+    def work(vector):
+        barrier.wait()
+        results[vector] = count_avoiders_recurrence(vector)
+
+    threads = [threading.Thread(target=work, args=(v,)) for v in vectors]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {v: recurrence_sorted_keys(v) for v in vectors}
