@@ -62,6 +62,7 @@ from .words import (
     DEFAULT_BRUTE_CAP,
     P123,
     BruteForceCapError,
+    check_recurrence_depth,
     count_avoiders_bruteforce,
     count_avoiders_recurrence,
 )
@@ -123,6 +124,8 @@ def _counts_via(method, r, nmax, cap, cache):
             raise BruteForceCapError(f"r*nmax = {r * nmax} exceeds cap {cap}")
         return [count_avoiders_bruteforce((r,) * n, P123, cap=cap) for n in range(nmax + 1)]
     if method == "recurrence":
+        for n in range(nmax + 1):  # a too-deep n fails before any term is computed
+            check_recurrence_depth(r * n)
         return [count_avoiders_recurrence((r,) * n) for n in range(nmax + 1)]
     if method == "linear-rec":
         verified = verified_recurrence(r)

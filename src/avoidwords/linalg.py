@@ -17,7 +17,8 @@ after an exact check of their own.
 """
 
 from functools import cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
+from operator import mul
 
 import numpy as np
 
@@ -49,15 +50,20 @@ def _is_prime(n):
 
 
 @cache
-def _primes():
-    """The MAX_PRIMES largest primes below 2^31, largest first; found once per process."""
+def _primes_below(bound, count):
+    """The `count` largest primes below `bound`, largest first; found once per process."""
     out = []
-    p = 2**31 - 1
-    while len(out) < MAX_PRIMES:
+    p = (bound - 2) | 1
+    while len(out) < count:
         if _is_prime(p):
             out.append(p)
         p -= 2
     return tuple(out)
+
+
+def _primes():
+    """The MAX_PRIMES largest primes below 2^31, largest first."""
+    return _primes_below(2**31, MAX_PRIMES)
 
 
 def _mod_rref_kernel(matrix_mod, p):
@@ -114,10 +120,21 @@ def _rational_reconstruct(c, m):
 
 
 def _crt(a, m, b, p):
-    # combine x = a mod m, x = b mod p
+    # combine x = a mod m, x = b mod p, for coprime m and p
     diff = (b - a) % p
-    inv = pow(m % p, p - 2, p)
+    inv = pow(m, -1, p)
     return (a + m * (diff * inv % p)) % (m * p)
+
+
+def _crt_rows(rows, primes):
+    """The integers in [0, prod(primes)) with the given residues, one per row
+    of `rows`, an int64 array of shape (value, prime); each prime < 2^31.5."""
+    modulus = prod(primes)
+    cofactors = [modulus // p for p in primes]
+    mods = np.array(primes, dtype=np.int64)
+    inverses = np.array([pow(c, -1, p) for c, p in zip(cofactors, primes)], dtype=np.int64)
+    digits = rows * inverses % mods
+    return [sum(map(mul, d, cofactors)) % modulus for d in digits.tolist()]
 
 
 def _reconstruct(residues, modulus):

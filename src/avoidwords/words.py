@@ -318,6 +318,14 @@ def avoidance_involution(word):
 _A_MEMO = {}
 
 
+def check_recurrence_depth(size):
+    """ValueError when words of total length `size` are too deep for the
+    recurrence, which goes one stack frame deeper per letter."""
+    deepest = sys.getrecursionlimit() - _RECURSION_HEADROOM
+    if size > deepest:
+        raise ValueError(f"total length {size} is too deep for the recurrence (max {deepest})")
+
+
 def count_avoiders_recurrence(multiplicities):
     """Number of 123-avoiding arrangements via the symmetric recurrence.
 
@@ -344,9 +352,7 @@ def count_avoiders_recurrence(multiplicities):
         raise ValueError("multiplicities must be nonnegative")
     entries = sorted(a for a in multiplicities if a > 0)
     size = sum(entries)
-    deepest = sys.getrecursionlimit() - _RECURSION_HEADROOM
-    if size > deepest:  # the recursion goes one level deeper per letter
-        raise ValueError(f"total length {size} is too deep for the recurrence (max {deepest})")
+    check_recurrence_depth(size)
     runs = []
     for a in entries:
         if runs and runs[-2] == a:

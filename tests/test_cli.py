@@ -1,6 +1,7 @@
 import contextlib
 import json
 import math
+import sys
 import time
 from decimal import Decimal, Inexact, localcontext
 
@@ -306,3 +307,28 @@ def test_unusable_cache_directory_exits_1(capsys, tmp_path):
 def test_every_exported_name_resolves():
     missing = [name for name in avoidwords.__all__ if not hasattr(avoidwords, name)]
     assert missing == []
+
+
+def test_recurrence_depth_is_checked_before_any_term(capsys, monkeypatch, tmp_path):
+    # a limit of 10 letters: n = 6 at r = 2 is too deep, n <= 5 is not
+    from avoidwords import words
+
+    monkeypatch.setattr(words, "_RECURSION_HEADROOM", sys.getrecursionlimit() - 10)
+    computed = []
+
+    def spy(multiplicities):
+        computed.append(multiplicities)
+        return words.count_avoiders_recurrence(multiplicities)
+
+    monkeypatch.setattr(cli, "count_avoiders_recurrence", spy)
+    code, out, err = run(capsys, "count", "--r", "2", "--nmax", "8", "--method", "recurrence",
+                         "--cache-dir", str(tmp_path))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert "total length 12 is too deep for the recurrence (max 10)" in err
+    assert computed == []
+    code, out, _ = run(capsys, "count", "--r", "2", "--nmax", "5", "--method", "recurrence",
+                       "--cache-dir", str(tmp_path))
+    assert code == EXIT_OK
+    assert out.split() == ["1", "1", "6", "43", "352", "3114"]
+    assert len(computed) == 6

@@ -1,3 +1,6 @@
+import time
+from fractions import Fraction
+
 import pytest
 
 from avoidwords import scheme as scheme_module
@@ -7,12 +10,13 @@ from avoidwords.scheme import (
     canon_pair,
     scheme_pairs,
     solve_series,
+    solve_series_mod,
     variable_name,
     word_counts,
 )
 from avoidwords.series import evaluate_on_series
 from avoidwords.words import P123, P231, count_avoiders_bruteforce, count_avoiders_recurrence
-from scheme_oracle import solve_series_full
+from scheme_oracle import solve_series_full, solve_series_strided
 
 
 def test_canon_pair_sorts():
@@ -161,3 +165,94 @@ def test_count_sequence_starts_one_one_and_stays_positive():
         seq = word_counts(r, 8)
         assert seq[0] == 1 and seq[1] == 1
         assert all(t > 0 for t in seq)
+
+
+def _largest_modulus(r, cutoff):
+    """The largest prime the sweep's no-overflow rule allows at this cutoff."""
+    return scheme_module._sweep_primes(r, cutoff, 1)[0]
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_residues_equal_exact_terms_mod_p(r):
+    scheme = build_scheme(r)
+    for cutoff in (1, r + 1, 2 * r + 3, 4 * r + 2):
+        exact = solve_series_full(scheme, cutoff)
+        for p in (2, 3, 7919, _largest_modulus(r, cutoff)):
+            want = {pair: [c % p for c in series] for pair, series in exact.items()}
+            assert solve_series_mod(r, cutoff, p) == want, (cutoff, p)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_residues_equal_strided_terms_mod_p_at_length(r):
+    cutoff = 30 * r + 1
+    exact = solve_series_strided(r, cutoff)
+    p = _largest_modulus(r, cutoff)
+    assert solve_series_mod(r, cutoff, p) == {
+        pair: [c % p for c in series] for pair, series in exact.items()}
+
+
+def test_solve_series_mod_refuses_an_overflowing_modulus():
+    with pytest.raises(ValueError):
+        solve_series_mod(2, 11, 2**31 - 1)  # 6 * (2^31 - 2)^2 >= 2^63
+    with pytest.raises(ValueError):
+        solve_series_mod(2, 11, 1)
+    assert solve_series_mod(2, 1, 2**31 - 1) == {(0, 0): [1], (0, 1): [0], (1, 1): [0]}
+
+
+@pytest.mark.parametrize("r", range(1, 10))
+def test_certificate_is_an_exact_supersolution(r):
+    x0, y = scheme_module._certificate(r)
+    assert isinstance(x0, Fraction) and all(isinstance(v, Fraction) for v in y.values())
+    assert 0 < x0 < 1
+    assert scheme_module._is_supersolution(r, x0, y)
+    # past the singularity ((r+1)*2^r)^(-1/r) no finite point passes
+    assert not scheme_module._is_supersolution(r, 2 * x0, y)
+
+
+def test_supersolution_check_is_exact():
+    # r=1: Phi(x, y) = 1 + x*y^2, and 1 + y^2/4 = y has the double root y = 2
+    assert scheme_module._is_supersolution(1, Fraction(1, 4), {(0, 0): Fraction(2)})
+    assert not scheme_module._is_supersolution(
+        1, Fraction(1, 4) + Fraction(1, 10**30), {(0, 0): Fraction(2)})
+
+
+# the count benchmark's scheme jobs run at r*nmax up to 760 for r = 3..6
+@pytest.mark.parametrize("r", [3, 4, 5, 6])
+def test_certified_bound_covers_every_pair_at_count_sizes(r):
+    cutoff = r * (760 // r) + 1
+    exact = solve_series_strided(r, cutoff)
+    for pair, series in exact.items():
+        top = scheme_module._coefficient_bound(r, cutoff - 1, [pair])
+        assert max(series).bit_length() <= top.bit_length(), pair
+        for m in range(0, cutoff, 7):
+            assert series[m] <= scheme_module._coefficient_bound(r, m, [pair]), (pair, m)
+    assert solve_series(r, cutoff) == exact
+    assert word_counts(r, 760 // r) == exact[(0, 0)][::r]
+
+
+@pytest.mark.parametrize("r,cutoff", [(1, 2), (2, 11), (3, 751), (6, 751), (8, 1921),
+                                      (6, 12001), (9, 9001)])
+def test_sweep_primes_keep_every_dot_product_in_int64(r, cutoff):
+    longest = -(-cutoff // r)
+    bound = scheme_module._coefficient_bound(r, cutoff - 1, scheme_pairs(r))
+    primes = scheme_module._sweep_primes(r, cutoff, bound)
+    assert all(longest * (p - 1) ** 2 < 2**63 for p in primes)
+    assert len(set(primes)) == len(primes)
+    modulus = 1
+    for p in primes:
+        modulus *= p
+    assert modulus > bound
+
+
+def test_batches_of_primes_combine_to_the_same_terms(monkeypatch):
+    want = solve_series_strided(4, 201)
+    monkeypatch.setattr(scheme_module, "BATCH_ENTRIES", 1)  # one prime per batch
+    assert solve_series(4, 201) == want
+    assert word_counts(4, 50) == want[(0, 0)][::4]
+
+
+def test_word_counts_r8_n240_within_budget():
+    start = time.perf_counter()
+    terms = word_counts(8, 240)
+    assert time.perf_counter() - start < 4.0
+    assert terms[:4] == [1, 1, 12870, 15168751]
