@@ -219,7 +219,10 @@ def sequence_for(r, nmax):
     "recurrence-extension"). With no cached recurrence, or when the check
     terms already reach nmax, the terms are the scheme series' own (source
     "scheme-series"); for long sequences the series costs far more than the
-    extension, and its time grows faster than quadratically in nmax.
+    extension. Its work grows as nmax^3 (n^2 dot-product steps per prime, and
+    a number of primes proportional to n): for r = 6, which ships no
+    recurrence, `word_counts(6, 300)` takes about 1.4 s, `word_counts(6, 600)`
+    15 s and all 2001 terms of `asympt --r 6` about 10 min on 2 vCPUs.
     """
     verified = verified_recurrence(r)
     if verified is None:

@@ -265,8 +265,8 @@ def _certificate(r):
     Floats only propose the point: y is the fixed point at 0.97 of the
     conjectured singularity x* = ((r+1)*2^r)^(-1/r), and x0 sits at 0.95 of
     it. Only the exact check `_is_supersolution` accepts a point; when it
-    fails, both fractions of x* are halved. See `solve_series` for the bound
-    this certifies.
+    fails, the point is proposed again at half the scale. See `solve_series`
+    for the bound this certifies.
     """
     scale = ((r + 1) * 2**r) ** (-1 / r)
     while True:
@@ -314,9 +314,9 @@ def _exact(r, cutoff, pairs):
     determine it. Primes go in batches; each batch's values are combined
     with the previous batches' by CRT.
     """
+    order, classes = _layout(r)  # first, so that r < 1 raises its ValueError
     primes = _sweep_primes(r, cutoff, _coefficient_bound(r, cutoff - 1, pairs))
     length = -(-cutoff // r)
-    order, classes = _layout(r)
     per_prime = (len(order) + 2 * max(len(a) for _, _, _, a, *_ in classes)) * (length + 1)
     batch = max(1, BATCH_ENTRIES // per_prime)
     values, modulus = None, 1
@@ -363,9 +363,8 @@ def solve_series(r, cutoff):
     of word-sized primes in one int64 array of shape (pair, k, prime), k
     indexing the pair's exponents in its residue class. A degree computes
     its class's distinct products for all primes at once, as one batch of
-    dot products whose length is fixed by ra+rb, then one small integer
-    matrix of quadratic weights times the product vector and the linear
-    terms, reduced mod p. The primes satisfy L*(p-1)^2 < 2^63 for the
+    dot products, then one small integer matrix of quadratic weights times
+    the product vector and the linear terms, reduced mod p. The primes satisfy L*(p-1)^2 < 2^63 for the
     longest dot product L, so no int64 sum overflows.
 
     Exact values come by CRT, from primes whose product exceeds a
@@ -374,8 +373,9 @@ def solve_series(r, cutoff):
     (`_certificate`, checked exactly), then every coefficient c_m of
     g^(i,j) is at most y_ij / x0^m: the Picard iterates G_0 = 0,
     G_{k+1} = Phi(x, G_k) have nonnegative coefficients, agree with the
-    solution below degree k, and by induction G_k(x0) <= Phi(x0, y) <= y;
-    so c_m x0^m <= G_{m+1}(x0) <= y. Floats only propose (x0, y). Each
+    solution below degree k, and stay below y at x0, by induction:
+    G_{k+1}(x0) = Phi(x0, G_k(x0)) <= Phi(x0, y) <= y. So
+    c_m x0^m <= G_{m+1}(x0) <= y. Floats only propose (x0, y). Each
     coefficient is a nonnegative integer below the product of the primes,
     so its residues fix it.
     """
@@ -391,9 +391,9 @@ def solve_series_mod(r, cutoff, p):
     L = ceil(cutoff/r) is the longest dot product."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
+    order = _layout(r)[0]
     if p < 2 or -(-cutoff // r) * (p - 1) ** 2 >= 2**63:
         raise ValueError(f"modulus {p} is outside 2 <= p, L*(p-1)^2 < 2^63")
-    order = _layout(r)[0]
     pairs = scheme_pairs(r)
     coeffs = _sweep(r, cutoff, [p])[[order.index(q) for q in pairs], :-1, 0]
     return _spread(r, cutoff, pairs, coeffs.tolist())

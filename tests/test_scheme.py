@@ -58,6 +58,10 @@ def test_r3_equation_count_and_variables():
 def test_invalid_r_rejected():
     with pytest.raises(ValueError):
         build_scheme(0)
+    for solve in (lambda: solve_series(0, 5), lambda: word_counts(0, 3),
+                  lambda: solve_series_mod(0, 5, 7)):
+        with pytest.raises(ValueError):
+            solve()
 
 
 def test_cutoff_one_gives_delta_only():
@@ -205,7 +209,7 @@ def test_certificate_is_an_exact_supersolution(r):
     assert isinstance(x0, Fraction) and all(isinstance(v, Fraction) for v in y.values())
     assert 0 < x0 < 1
     assert scheme_module._is_supersolution(r, x0, y)
-    # past the singularity ((r+1)*2^r)^(-1/r) no finite point passes
+    # 2*x0 lies past the singularity ((r+1)*2^r)^(-1/r), where no finite y passes
     assert not scheme_module._is_supersolution(r, 2 * x0, y)
 
 
