@@ -3,11 +3,11 @@
 Polynomials are immutable. Coefficients are Python ints; every division the
 package makes is exact over Z (by the subresultant theorem in the PRS, and
 by Gauss's lemma wherever the divisor is primitive). Exponent vectors are
-tuples aligned with a fixed tuple of variable names; multiplication and
-exact division pack them into ints internally. Includes exact division,
-content/primitive normalization, pseudo-division, subresultant-PRS
-resultants and gcds -- everything the elimination machinery needs, at desk
-scale (schoolbook algorithms throughout).
+tuples aligned with a fixed tuple of variable names; arithmetic packs them
+into ints: a product or an exact division packs its operands, and a
+resultant, gcd or pseudo-remainder packs its two operands once and runs the
+whole subresultant PRS on packed coefficients. Schoolbook algorithms
+throughout, at desk scale.
 """
 
 import random as _random
@@ -39,7 +39,7 @@ def primitive_terms(terms):
 
 # ---------------- packed monomials ----------------
 #
-# Multiplication and exact division run on exponent vectors packed into one
+# Products, exact division and the PRS run on exponent vectors packed into one
 # int each (Kronecker substitution): `width` bits per variable, the first
 # variable most significant. While no field exceeds its width, adding keys
 # adds exponent vectors and integer order on keys is lex order on tuples.
@@ -70,8 +70,35 @@ def _unpack_key(k, nv, width):
 
 
 def _unpack(packed, nv, width):
-    """Tuple-keyed terms of a packed term map, zero coefficients dropped."""
-    return {_unpack_key(k, nv, width): c for k, c in packed.items() if c}
+    """Tuple-keyed terms of a packed term map."""
+    return {_unpack_key(k, nv, width): c for k, c in packed.items()}
+
+
+def _mul_sum(*pairs, check=None):
+    """The sum of a*b over the pairs (a, b) of packed term maps, zero terms
+    dropped; `check`, when given, is called after every product."""
+    out = {}
+    get = out.get
+    for a, b in pairs:
+        cols = list(b.items())
+        for k1, c1 in a.items():
+            for k2, c2 in cols:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        if check is not None:
+            check()
+    return {k: c for k, c in out.items() if c}
+
+
+def _power(a, e, check):
+    out = {0: 1}
+    for _ in range(e):
+        out = _mul_sum((out, a), check=check)
+    return out
+
+
+def _neg(a):
+    return {k: -c for k, c in a.items()}
 
 
 class MultivariatePolynomial:
@@ -196,14 +223,7 @@ class MultivariatePolynomial:
         if not self.terms or not other.terms:
             return MultivariatePolynomial.zero(self.variables)
         width = _field_width(_max_exponent(self.terms) + _max_exponent(other.terms))
-        rows = _pack(self.terms, width).items()
-        cols = list(_pack(other.terms, width).items())
-        out = {}
-        get = out.get
-        for k1, c1 in rows:
-            for k2, c2 in cols:
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
+        out = _mul_sum((_pack(self.terms, width), _pack(other.terms, width)))
         return MultivariatePolynomial(self.variables, _unpack(out, len(self.variables), width))
 
     __rmul__ = __mul__
@@ -356,36 +376,46 @@ class MultivariatePolynomial:
 # ---------------- exact division ----------------
 
 def exact_divide(num, den, check=None):
-    """Return q with num == den*q over Z, else raise NonDivisibleError.
-
-    Long division cancelling leading terms under lex order, on packed
-    monomials; a heap yields the remainder's leading term. An exact quotient
-    has degree deg_v(num) - deg_v(den) in each variable v, so a quotient term
-    above that bound proves non-divisibility. The check also keeps every
-    remainder exponent within 0..deg_v(num), so packed fields never carry.
-    `check`, when given, is called after every quotient term.
-    """
+    """Return q with num == den*q over Z, else raise NonDivisibleError;
+    `check`, when given, is called after every quotient term."""
     if den.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
     num._check_compatible(den)
-    variables = num.variables
     if num.is_zero:
         return num
-    nv = len(variables)
-    num_deg = [max(col) for col in zip(*num.terms)]
-    q_deg = [a - max(col) for a, col in zip(num_deg, zip(*den.terms))]
-    if min(q_deg, default=0) < 0:
-        raise NonDivisibleError("divisor has higher degree than dividend")
-    width = _field_width(max(num_deg, default=0))
-    divisor = _pack(den.terms, width)
+    nv = len(num.variables)
+    width = _field_width(max(_max_exponent(num.terms), _max_exponent(den.terms)))
+    q = _divide_packed(_pack(num.terms, width), _pack(den.terms, width), nv, width, check)
+    return MultivariatePolynomial(num.variables, _unpack(q, nv, width))
+
+
+def _field_degrees(packed, nv, width):
+    """The largest exponent in each field over the keys of a packed term map."""
+    return [max(col) for col in zip(*[_unpack_key(k, nv, width) for k in packed])]
+
+
+def _divide_packed(num, den, nv, width, check=None):
+    """q with num == den*q for packed term maps, else NonDivisibleError.
+
+    Long division cancelling leading terms under lex order; a heap yields
+    the remainder's leading term (Monagan and Pearce). An exact quotient has
+    degree deg_v(num) - deg_v(den) in each field v, so a quotient term
+    outside 0..that bound proves non-divisibility. The check also keeps
+    every remainder exponent within 0..deg_v(num), so fields that hold num's
+    exponents never carry.
+    """
+    if not num:
+        return {}
+    divisor = dict(den)
     lead_d = max(divisor)
     cd = divisor.pop(lead_d)
     tail = list(divisor.items())
-    # a remainder's leading exponents, field by field, that give a quotient
-    # exponent in 0..q_deg
-    low = _unpack_key(lead_d, nv, width)
-    high = [lo + d for lo, d in zip(low, q_deg)]
-    rem = _pack(num.terms, width)
+    low = _unpack_key(lead_d, nv, width)  # a remainder lead in low..high divides
+    high = [lo + a - b for lo, a, b in
+            zip(low, _field_degrees(num, nv, width), _field_degrees(den, nv, width))]
+    if not all(lo <= hi for lo, hi in zip(low, high)):
+        raise NonDivisibleError("divisor has higher degree than dividend")
+    rem = dict(num)
     heap = [-k for k in rem]
     heapify(heap)
     q = {}
@@ -410,75 +440,94 @@ def exact_divide(num, den, check=None):
                 heappush(heap, -k)
         if check is not None:
             check()
-    return MultivariatePolynomial(variables, _unpack(q, nv, width))
+    return q
 
 
 # ---------------- univariate views ----------------
 
-def _univ(p, name):
-    """Coefficient list [c_0, ..., c_d] of p viewed in `name`; [] for zero."""
-    d = p.degree(name)
-    if d < 0:
-        return []
-    return [p.coefficient_of(name, k) for k in range(d + 1)]
-
-
-def _univ_trim(coeffs):
-    while coeffs and coeffs[-1].is_zero:
-        coeffs.pop()
-    return coeffs
-
-
-def _univ_to_poly(coeffs, name, variables):
-    """Inverse of _univ: the coefficients' monomials are disjoint once shifted."""
+def _views(f, g, name):
+    """f and g, deg f >= deg g >= 0, as coefficient lists in `name` of packed
+    term maps over the other variables that occur in either; also the keys'
+    (fields, width) and the inverse view. With m = deg f, n = deg g, and
+    D = n*deg_v f + m*deg_v g for each other variable v, the fields hold
+    (n+1)*D and deg_v f + (m-n+1)*deg_v g: `pseudo_rem` and
+    `_subresultant_prs` prove that none of their exponents exceed these."""
+    variables = f.variables
     i = variables.index(name)
-    out = {}
-    for k, c in enumerate(coeffs):
-        for e, cc in c.terms.items():
-            ee = list(e)
-            ee[i] += k
-            out[tuple(ee)] = cc
-    return MultivariatePolynomial(variables, out)
+    f_deg = [max(col) for col in zip(*f.terms)]
+    g_deg = [max(col) for col in zip(*g.terms)]
+    m, n = f_deg[i], g_deg[i]
+    others = [j for j in range(len(variables)) if j != i and (f_deg[j] or g_deg[j])]
+    width = _field_width(max(
+        (max((n + 1) * (n * f_deg[j] + m * g_deg[j]), f_deg[j] + (m - n + 1) * g_deg[j])
+         for j in others), default=0))
+
+    def view(p, d):
+        out = [{} for _ in range(d + 1)]
+        for e, c in p.terms.items():
+            k = 0
+            for j in others:
+                k = (k << width) | e[j]
+            out[e[i]][k] = c
+        return out
+
+    def unview(coeffs):
+        out = {}
+        for d, c in enumerate(coeffs):
+            for k, cc in c.items():
+                e = [0] * len(variables)
+                e[i] = d
+                for j, a in zip(others, _unpack_key(k, len(others), width)):
+                    e[j] = a
+                out[tuple(e)] = cc
+        return MultivariatePolynomial(variables, out)
+
+    return view(f, m), view(g, n), (len(others), width), unview
 
 
 def pseudo_rem(f, g, name, check=None):
     """The pseudo-remainder of f by g in `name`, without the quotient.
 
     lc(g)**d * f == q*g + r with deg_name(r) < deg_name(g), where
-    d = deg f - deg g + 1; f itself when d <= 0. `check`, when given, is
-    called after every product of coefficient polynomials.
+    d = deg f - deg g + 1; f itself when d <= 0. Runs `_prem`, the PRS step,
+    on f and g packed once. A step replaces R by lc*R - t*x^(k-n)*g, t the
+    top coefficient of R, so after s steps, and in each product on the way,
+    deg_v of any other variable v is at most deg_v f + s*deg_v g; with the
+    last power of lc, deg_v f + d*deg_v g. `check`, when given, is called
+    after every product of coefficient polynomials.
     """
-    check = check or (lambda: None)
     f._check_compatible(g)
-    R = _univ(f, name)
-    G = _univ(g, name)
-    if not G:
+    if g.is_zero:
         raise ZeroDivisionError("pseudo-division by zero")
-    n = len(G) - 1
-    lc = G.pop()
-    m = len(R) - 1
-    if m < n:
+    if f.degree(name) < g.degree(name):
         return f
-    steps = 0
+    F, G, _, unview = _views(f, g, name)
+    return unview(_prem(F, G, check))
+
+
+def _prem(f, g, check):
+    """The pseudo-remainder of view f by view g, deg f >= deg g, trimmed."""
+    n = len(g) - 1
+    lc = g[-1]
+    R = list(f)
+    owed = len(f) - n  # powers of lc still owed: deg f - deg g + 1
     while True:
-        _univ_trim(R)
+        while R and not R[-1]:
+            R.pop()
         k = len(R) - 1
         if k < n:
             break
-        # R <- lc*R - t*x^(k-n)*G; the x^k coefficient lc*t - t*lc is 0
-        t = R.pop()
-        for j, c in enumerate(R):
-            R[j] = lc * c
-            check()
-        for j, gc in enumerate(G, k - n):
-            R[j] = R[j] - t * gc
-            check()
-        steps += 1
-    scale = lc ** (m - n + 1 - steps)
-    for j, c in enumerate(R):
-        R[j] = c * scale
-        check()
-    return _univ_to_poly(R, name, f.variables)
+        # the x^k coefficient of lc*R - t*x^(k-n)*g is lc*t - t*lc = 0
+        t = _neg(R.pop())
+        for j in range(k - n):
+            R[j] = _mul_sum((lc, R[j]), check=check)
+        for j, gc in enumerate(g[:-1], k - n):
+            R[j] = _mul_sum((lc, R[j]), (t, gc), check=check)
+        owed -= 1
+    if owed:
+        scale = _power(lc, owed, check)
+        R = [_mul_sum((scale, c), check=check) for c in R]
+    return R
 
 
 # ---------------- resultant (subresultant PRS) ----------------
@@ -486,10 +535,10 @@ def pseudo_rem(f, g, name, check=None):
 def resultant(p, q, name, check=None):
     """Sylvester resultant of p and q with respect to `name`, exact.
 
-    Subresultant PRS (Brown's algorithm); raises ValueError when both inputs
-    are degenerate (degree <= 0 in `name`). `check`, when given, is called
-    inside every pseudo-remainder and exact division, so it can abort a long
-    resultant.
+    Subresultant PRS (Brown's algorithm) on operands packed once; raises
+    ValueError when both inputs are degenerate (degree <= 0 in `name`).
+    `check`, when given, is called after every coefficient product and
+    quotient term, so it can abort a long resultant.
     """
     p._check_compatible(q)
     n = p.degree(name)
@@ -503,39 +552,49 @@ def resultant(p, q, name, check=None):
         p, q = q, p
         if n % 2 and m % 2:
             sign = -1
-    for last, s in _subresultant_prs(p, q, name, check):
-        pass
-    if last.degree(name) > 0:
+    f, g, fields, unview = _views(p, q, name)
+    last, s = _subresultant_prs(f, g, fields, check)
+    if len(last) > 1:
         return MultivariatePolynomial.zero(p.variables)
-    return s * sign
+    return unview([s]) * sign
 
 
-def _subresultant_prs(f, g, name, check=None):
-    """Brown's subresultant PRS of f and g in `name`, deg f >= deg g >= 0.
+def _subresultant_prs(f, g, fields, check):
+    """Brown's subresultant PRS of the views f and g, deg f >= deg g >= 0.
 
-    Yields (member, s) for g and then for every nonzero pseudo-remainder,
-    s being the member's subresultant coefficient. The sequence ends after a
-    member free of `name`, whose s is res(f, g), or at a zero remainder,
-    when the last member is gcd(f, g) up to content. `check` is passed to
-    every pseudo-remainder and exact division.
+    Returns the last member and its subresultant coefficient s: a member
+    free of the view's variable, whose s is res(f, g), or the member before
+    a zero remainder, gcd(f, g) up to content. `check` runs after every
+    coefficient product and quotient term.
+
+    No field carries. Let m = deg f, n = deg g and, for another variable v,
+    D = n*deg_v f + m*deg_v g. Every member's coefficients and every s are
+    minors of the Sylvester matrix (n rows of f, m rows of g), of deg_v at
+    most D. The first pseudo-remainder stays within
+    deg_v f + (m-n+1)*deg_v g <= D (`pseudo_rem`; it runs only if n >= 1)
+    and bb is +-1. A later one has deg f <= n and deg g >= 1, so
+    d = deg f - deg g <= n - 1 and it stays within D + (d+1)*D <= (n+1)*D.
+    With the next d <= n, bb = -lc*c^d stays within (n+1)*D, (-lc)^d within
+    n*D, and partial powers within the power. An exact division keeps its
+    remainder within the dividend (`_divide_packed`).
     """
-    m = g.degree(name)
-    d = f.degree(name) - m
-    bb = MultivariatePolynomial.constant(f.variables, (-1) ** (d + 1))
-    lc = g.coefficient_of(name, m)
-    c = -(lc**d)
-    while True:
-        yield g, -c
-        if m == 0:
-            return
-        h = exact_divide(pseudo_rem(f, g, name, check), bb, check)
-        if h.is_zero:
-            return
-        k = h.degree(name)
+    nv, width = fields
+    m = len(g) - 1
+    d = len(f) - 1 - m
+    bb = {0: (-1) ** (d + 1)}
+    lc = g[-1]
+    c = _neg(_power(lc, d, check))
+    while m > 0:
+        h = [_divide_packed(r, bb, nv, width, check) for r in _prem(f, g, check)]
+        if not h:
+            break
+        k = len(h) - 1
         f, g, d, m = g, h, m - k, k
-        bb = -lc * (c**d)
-        lc = g.coefficient_of(name, m)
-        c = exact_divide((-lc) ** d, c ** (d - 1), check) if d > 1 else -lc
+        bb = _neg(_mul_sum((lc, _power(c, d, check)), check=check))
+        lc = g[-1]
+        c = (_divide_packed(_power(_neg(lc), d, check), _power(c, d - 1, check), nv, width, check)
+             if d > 1 else _neg(lc))
+    return g, _neg(c)
 
 
 # ---------------- gcd and square-free part ----------------
@@ -567,11 +626,11 @@ def polynomial_gcd(p, q, check=None):
         return cont.primitive()
     if pp.degree(name) < pq.degree(name):
         pp, pq = pq, pp
-    for g, _ in _subresultant_prs(pp, pq, name, check):
-        pass
-    if g.degree(name) == 0:
+    f, g, fields, unview = _views(pp, pq, name)
+    last, _ = _subresultant_prs(f, g, fields, check)
+    if len(last) == 1:
         return cont.primitive()  # gcd is trivial in `name`
-    g = _content_primitive(g, name, check)[1]
+    g = _content_primitive(unview(last), name, check)[1]
     return (cont * g).primitive()
 
 
@@ -645,9 +704,8 @@ def _mod_gcd_degree(a, b):
 
 def _content_primitive(p, name, check=None):
     """(content, primitive part) of p viewed in `name`."""
-    coeffs = _univ(p, name)
     cont = MultivariatePolynomial.zero(p.variables)
-    for c in coeffs:
+    for c in (p.coefficient_of(name, k) for k in range(p.degree(name) + 1)):
         cont = polynomial_gcd(cont, c, check)
         if cont.is_constant() and not cont.is_zero:
             cont = MultivariatePolynomial.constant(p.variables, 1)

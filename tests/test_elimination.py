@@ -215,18 +215,18 @@ def test_resultant_chain_checks_its_budget_after_every_prs_step(monkeypatch):
     now = [0.0]
     monkeypatch.setattr(elimination, "time", SimpleNamespace(monotonic=lambda: now[0]))
     steps, finished = [], []
-    pseudo_rem = polynomials.pseudo_rem
+    prem = polynomials._prem  # the pseudo-remainder step of every PRS
 
     def first_step_overruns(*args):
         steps.append(args)
         now[0] = 100.0  # past the deadline once this step is done
-        return pseudo_rem(*args)
+        return prem(*args)
 
     def recorded_resultant(*args, **kwargs):
         finished.append(resultant(*args, **kwargs))
         return finished[-1]
 
-    monkeypatch.setattr(polynomials, "pseudo_rem", first_step_overruns)
+    monkeypatch.setattr(polynomials, "_prem", first_step_overruns)
     monkeypatch.setattr(elimination, "resultant", recorded_resultant)
     with pytest.raises(EliminationTimeout):
         eliminate(build_scheme(3), "resultants", timeout=10)
@@ -237,15 +237,15 @@ def test_deadline_interrupts_a_pseudo_remainder(monkeypatch):
     now = [0.0]
     monkeypatch.setattr(elimination, "time", SimpleNamespace(monotonic=lambda: now[0]))
     calls, returned = [], []
-    pseudo_rem = polynomials.pseudo_rem
+    prem = polynomials._prem  # the pseudo-remainder step of every PRS
 
     def overrun_during_first_call(*args):
         calls.append(args)
         now[0] = 100.0  # the deadline passes while this call runs
-        returned.append(pseudo_rem(*args))
+        returned.append(prem(*args))
         return returned[-1]
 
-    monkeypatch.setattr(polynomials, "pseudo_rem", overrun_during_first_call)
+    monkeypatch.setattr(polynomials, "_prem", overrun_during_first_call)
     with pytest.raises(EliminationTimeout):
         eliminate(build_scheme(3), "resultants", timeout=10)
     assert len(calls) == 1 and returned == []
