@@ -126,7 +126,8 @@ def _counts_via(method, r, nmax, cap, cache):
     if method == "recurrence":
         for n in range(nmax + 1):  # a too-deep n fails before any term is computed
             check_recurrence_depth(r * n)
-        return [count_avoiders_recurrence((r,) * n) for n in range(nmax + 1)]
+        # the largest n first leaves every smaller one in the memo
+        return [count_avoiders_recurrence((r,) * n) for n in range(nmax, -1, -1)][::-1]
     if method == "linear-rec":
         verified = verified_recurrence(r)
         if verified is None:

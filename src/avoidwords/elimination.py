@@ -8,7 +8,7 @@ algebraic equation satisfied by the counting generating function itself, a
 MultivariatePolynomial over ("x", "F") in the form `canonical_equation` gives.
 """
 
-import time
+import signal
 from dataclasses import dataclass
 
 from .groebner import block_elimination_key, groebner_basis
@@ -39,42 +39,56 @@ class InsufficientSeriesError(ValueError):
     """The series is too short for a meaningful annihilation check."""
 
 
-def eliminate(scheme, backend="buchberger", timeout=DEFAULT_TIMEOUT):
+def eliminate(scheme, backend="resultants", timeout=DEFAULT_TIMEOUT):
     """A nonzero polynomial in {x, G0_0} vanishing on the scheme's solution.
 
+    backend "resultants": variables removed one at a time, largest (i+j, i)
+    first, with square-free part and content stripped after every resultant.
     backend "buchberger": reduced basis under the elimination order, smallest
-    member free of the auxiliary variables. backend "resultants": variables
-    removed one at a time, largest (i+j, i) first, with square-free part and
-    content stripped after every resultant.
+    member free of the auxiliary variables.
 
-    One deadline check runs before every Groebner S-pair and after every
-    coefficient product and quotient term of the resultant chain, so a run
-    overshoots `timeout` seconds (None: no limit) by about one such step
-    before it raises EliminationTimeout.
+    The budget is a SIGALRM interval timer: after `timeout` seconds of wall
+    clock its handler raises EliminationTimeout between any two bytecodes of
+    the run. Signal handlers can only be set in the main thread, so a budget
+    elsewhere raises ValueError. None, or a budget longer than the timer can
+    hold, means no limit; a budget of 0 raises before any step.
     """
-    deadline = None if timeout is None else time.monotonic() + timeout
+    run = {"resultants": _eliminate_resultants, "buchberger": _eliminate_buchberger}.get(backend)
+    if run is None:
+        raise ValueError(f"unknown backend {backend!r}")
+    if timeout is None:
+        return run(scheme)
+    message = f"{backend} elimination exceeded its time budget of {timeout} s"
+    if timeout <= 0:
+        raise EliminationTimeout(message)
 
-    def check():
-        if deadline is not None and time.monotonic() > deadline:
-            raise EliminationTimeout(
-                f"{backend} elimination exceeded its time budget of {timeout} s"
-            )
+    def expire(signum, frame):
+        raise EliminationTimeout(message)
 
-    if backend == "buchberger":
-        return _eliminate_buchberger(scheme, check)
-    if backend == "resultants":
-        return _eliminate_resultants(scheme, check)
-    raise ValueError(f"unknown backend {backend!r}")
+    previous = signal.signal(signal.SIGALRM, expire)
+    try:
+        try:
+            signal.setitimer(signal.ITIMER_REAL, timeout)
+        except OverflowError:
+            pass  # beyond the timer's range: no limit
+        return run(scheme)
+    finally:
+        # cancel first: an alarm after the restore could reach SIG_DFL and
+        # end the process
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+        finally:
+            signal.signal(signal.SIGALRM, previous)
 
 
-def _eliminate_buchberger(scheme, check):
+def _eliminate_buchberger(scheme):
     variables = scheme.variables
     keep = {"x", variable_name((0, 0))}
     elim_positions = [k for k, v in enumerate(variables) if v not in keep]
     kept_positions = [variables.index(variable_name((0, 0))), variables.index("x")]
     key_fn = block_elimination_key(len(variables), elim_positions, kept_positions)
     gens = [poly.primitive().terms for poly in scheme.equations.values()]
-    basis = groebner_basis(gens, key_fn, check)
+    basis = groebner_basis(gens, key_fn)
     for p in basis:  # sorted by leading monomial, smallest first
         if all(all(e[pos] == 0 for pos in elim_positions) for e in p):
             out = MultivariatePolynomial(variables, p)
@@ -82,7 +96,7 @@ def _eliminate_buchberger(scheme, check):
     raise EmptyEliminationError("no Groebner basis element lies in the kept variables")
 
 
-def _eliminate_resultants(scheme, check):
+def _eliminate_resultants(scheme):
     order = sorted(
         (p for p in scheme_pairs(scheme.r) if p != (0, 0)),
         key=lambda p: (p[0] + p[1], p[0]),
@@ -94,7 +108,6 @@ def _eliminate_resultants(scheme, check):
     # intermediate a valid annihilator and stops degree creep
     polys = [poly.strip_monomial_content().primitive() for _, poly in sorted(scheme.equations.items())]
     for step, name in enumerate(elim_names):
-        check()
         having = [p for p in polys if p.degree(name) > 0]
         others = [p for p in polys if p.degree(name) <= 0]
         if not having:
@@ -110,15 +123,14 @@ def _eliminate_resultants(scheme, check):
         for q in having:
             if q is pivot:
                 continue
-            check()
-            res = resultant(pivot, q, name, check)
+            res = resultant(pivot, q, name)
             if res.is_zero:
-                res = _split_common_factor(scheme.r, pivot, q, name, check)
+                res = _split_common_factor(scheme.r, pivot, q, name)
                 if res is None:
                     continue
             res = res.strip_monomial_content().primitive()
             if next_name is not None and res.degree(next_name) > 0:
-                res = squarefree_part(res, next_name, check)
+                res = squarefree_part(res, next_name)
             produced.append(res)
         polys = others + produced
     final = [p for p in polys if not p.is_zero]
@@ -128,24 +140,24 @@ def _eliminate_resultants(scheme, check):
     return best.restrict_variables(("x", variable_name((0, 0)))).primitive()
 
 
-def _split_common_factor(r, pivot, q, name, check):
+def _split_common_factor(r, pivot, q, name):
     """Salvage a vanishing resultant: pivot and q share a factor in `name`.
 
     The shared factor is kept when it vanishes on the series solution
     (checked to a healthy cutoff); otherwise the cofactor of q does, and its
     resultant with the pivot replaces the zero.
     """
-    g = polynomial_gcd(pivot, q, check)
+    g = polynomial_gcd(pivot, q)
     if g.is_constant():
         return None
     solution = {variable_name(p): s for p, s in solve_series(r, 12 * r + 1).items()}
     if not any(evaluate_on_series(g, solution)):
         return g
     # g is nonzero on the solution, so both cofactors vanish on it
-    pivot2 = exact_divide(pivot, g, check)
-    q2 = exact_divide(q, g, check)
+    pivot2 = exact_divide(pivot, g)
+    q2 = exact_divide(q, g)
     if pivot2.degree(name) > 0 and q2.degree(name) > 0:
-        res = resultant(pivot2, q2, name, check)
+        res = resultant(pivot2, q2, name)
         if not res.is_zero:
             return res
     for cofactor in (q2, pivot2):

@@ -218,11 +218,10 @@ def _update_pairs(entries, pairs, t):
     return survivors
 
 
-def groebner_basis(generators, key_fn, check=None):
+def groebner_basis(generators, key_fn):
     """Reduced Groebner basis of the generators under the given order key.
 
-    Input and output polynomials are {exponent tuple: int} dicts. `check`,
-    when given, is called before every S-pair, so it can abort the run.
+    Input and output polynomials are {exponent tuple: int} dicts.
     """
     entries = []
     pairs = []
@@ -236,8 +235,6 @@ def groebner_basis(generators, key_fn, check=None):
         entries.append(_Entry(p, key_fn, max(sum(e) for e in p)))
         pairs = _update_pairs(entries, pairs, len(entries) - 1)
     while pairs:
-        if check is not None:
-            check()
         best = min(range(len(pairs)), key=lambda k: (pairs[k].sugar, key_fn(pairs[k].lcm)))
         pair = pairs.pop(best)
         f, g = entries[pair.i], entries[pair.j]

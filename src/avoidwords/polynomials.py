@@ -74,9 +74,9 @@ def _unpack(packed, nv, width):
     return {_unpack_key(k, nv, width): c for k, c in packed.items()}
 
 
-def _mul_sum(*pairs, check=None):
+def _mul_sum(*pairs):
     """The sum of a*b over the pairs (a, b) of packed term maps, zero terms
-    dropped; `check`, when given, is called after every product."""
+    dropped."""
     out = {}
     get = out.get
     for a, b in pairs:
@@ -85,15 +85,13 @@ def _mul_sum(*pairs, check=None):
             for k2, c2 in cols:
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
-        if check is not None:
-            check()
     return {k: c for k, c in out.items() if c}
 
 
-def _power(a, e, check):
+def _power(a, e):
     out = {0: 1}
     for _ in range(e):
-        out = _mul_sum((out, a), check=check)
+        out = _mul_sum((out, a))
     return out
 
 
@@ -375,9 +373,8 @@ class MultivariatePolynomial:
 
 # ---------------- exact division ----------------
 
-def exact_divide(num, den, check=None):
-    """Return q with num == den*q over Z, else raise NonDivisibleError;
-    `check`, when given, is called after every quotient term."""
+def exact_divide(num, den):
+    """Return q with num == den*q over Z, else raise NonDivisibleError."""
     if den.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
     num._check_compatible(den)
@@ -385,7 +382,7 @@ def exact_divide(num, den, check=None):
         return num
     nv = len(num.variables)
     width = _field_width(max(_max_exponent(num.terms), _max_exponent(den.terms)))
-    q = _divide_packed(_pack(num.terms, width), _pack(den.terms, width), nv, width, check)
+    q = _divide_packed(_pack(num.terms, width), _pack(den.terms, width), nv, width)
     return MultivariatePolynomial(num.variables, _unpack(q, nv, width))
 
 
@@ -394,7 +391,7 @@ def _field_degrees(packed, nv, width):
     return [max(col) for col in zip(*[_unpack_key(k, nv, width) for k in packed])]
 
 
-def _divide_packed(num, den, nv, width, check=None):
+def _divide_packed(num, den, nv, width):
     """q with num == den*q for packed term maps, else NonDivisibleError.
 
     Long division cancelling leading terms under lex order; a heap yields
@@ -438,8 +435,6 @@ def _divide_packed(num, den, nv, width, check=None):
             else:
                 rem[k] = -c * cdd
                 heappush(heap, -k)
-        if check is not None:
-            check()
     return q
 
 
@@ -485,7 +480,7 @@ def _views(f, g, name):
     return view(f, m), view(g, n), (len(others), width), unview
 
 
-def pseudo_rem(f, g, name, check=None):
+def pseudo_rem(f, g, name):
     """The pseudo-remainder of f by g in `name`, without the quotient.
 
     lc(g)**d * f == q*g + r with deg_name(r) < deg_name(g), where
@@ -493,8 +488,7 @@ def pseudo_rem(f, g, name, check=None):
     on f and g packed once. A step replaces R by lc*R - t*x^(k-n)*g, t the
     top coefficient of R, so after s steps, and in each product on the way,
     deg_v of any other variable v is at most deg_v f + s*deg_v g; with the
-    last power of lc, deg_v f + d*deg_v g. `check`, when given, is called
-    after every product of coefficient polynomials.
+    last power of lc, deg_v f + d*deg_v g.
     """
     f._check_compatible(g)
     if g.is_zero:
@@ -502,10 +496,10 @@ def pseudo_rem(f, g, name, check=None):
     if f.degree(name) < g.degree(name):
         return f
     F, G, _, unview = _views(f, g, name)
-    return unview(_prem(F, G, check))
+    return unview(_prem(F, G))
 
 
-def _prem(f, g, check):
+def _prem(f, g):
     """The pseudo-remainder of view f by view g, deg f >= deg g, trimmed."""
     n = len(g) - 1
     lc = g[-1]
@@ -520,25 +514,23 @@ def _prem(f, g, check):
         # the x^k coefficient of lc*R - t*x^(k-n)*g is lc*t - t*lc = 0
         t = _neg(R.pop())
         for j in range(k - n):
-            R[j] = _mul_sum((lc, R[j]), check=check)
+            R[j] = _mul_sum((lc, R[j]))
         for j, gc in enumerate(g[:-1], k - n):
-            R[j] = _mul_sum((lc, R[j]), (t, gc), check=check)
+            R[j] = _mul_sum((lc, R[j]), (t, gc))
         owed -= 1
     if owed:
-        scale = _power(lc, owed, check)
-        R = [_mul_sum((scale, c), check=check) for c in R]
+        scale = _power(lc, owed)
+        R = [_mul_sum((scale, c)) for c in R]
     return R
 
 
 # ---------------- resultant (subresultant PRS) ----------------
 
-def resultant(p, q, name, check=None):
+def resultant(p, q, name):
     """Sylvester resultant of p and q with respect to `name`, exact.
 
     Subresultant PRS (Brown's algorithm) on operands packed once; raises
     ValueError when both inputs are degenerate (degree <= 0 in `name`).
-    `check`, when given, is called after every coefficient product and
-    quotient term, so it can abort a long resultant.
     """
     p._check_compatible(q)
     n = p.degree(name)
@@ -553,19 +545,18 @@ def resultant(p, q, name, check=None):
         if n % 2 and m % 2:
             sign = -1
     f, g, fields, unview = _views(p, q, name)
-    last, s = _subresultant_prs(f, g, fields, check)
+    last, s = _subresultant_prs(f, g, fields)
     if len(last) > 1:
         return MultivariatePolynomial.zero(p.variables)
     return unview([s]) * sign
 
 
-def _subresultant_prs(f, g, fields, check):
+def _subresultant_prs(f, g, fields):
     """Brown's subresultant PRS of the views f and g, deg f >= deg g >= 0.
 
     Returns the last member and its subresultant coefficient s: a member
     free of the view's variable, whose s is res(f, g), or the member before
-    a zero remainder, gcd(f, g) up to content. `check` runs after every
-    coefficient product and quotient term.
+    a zero remainder, gcd(f, g) up to content.
 
     No field carries. Let m = deg f, n = deg g and, for another variable v,
     D = n*deg_v f + m*deg_v g. Every member's coefficients and every s are
@@ -583,29 +574,28 @@ def _subresultant_prs(f, g, fields, check):
     d = len(f) - 1 - m
     bb = {0: (-1) ** (d + 1)}
     lc = g[-1]
-    c = _neg(_power(lc, d, check))
+    c = _neg(_power(lc, d))
     while m > 0:
-        h = [_divide_packed(r, bb, nv, width, check) for r in _prem(f, g, check)]
+        h = [_divide_packed(r, bb, nv, width) for r in _prem(f, g)]
         if not h:
             break
         k = len(h) - 1
         f, g, d, m = g, h, m - k, k
-        bb = _neg(_mul_sum((lc, _power(c, d, check)), check=check))
+        bb = _neg(_mul_sum((lc, _power(c, d))))
         lc = g[-1]
-        c = (_divide_packed(_power(_neg(lc), d, check), _power(c, d - 1, check), nv, width, check)
+        c = (_divide_packed(_power(_neg(lc), d), _power(c, d - 1), nv, width)
              if d > 1 else _neg(lc))
     return g, _neg(c)
 
 
 # ---------------- gcd and square-free part ----------------
 
-def polynomial_gcd(p, q, check=None):
+def polynomial_gcd(p, q):
     """gcd over the integers, returned primitive with positive lead.
 
     A random-evaluation screen settles the common trivial case in one
     univariate gcd; a genuinely nontrivial gcd falls through to Brown's
-    subresultant remainder sequence. `check`, when given, is passed to every
-    pseudo-remainder and exact division.
+    subresultant remainder sequence.
     """
     if p.is_zero:
         return q.primitive()
@@ -618,19 +608,19 @@ def polynomial_gcd(p, q, check=None):
     if not common:
         return MultivariatePolynomial.constant(p.variables, 1)
     name = max(common, key=lambda v: min(p.degree(v), q.degree(v)))
-    cp, pp = _content_primitive(p, name, check)
-    cq, pq = _content_primitive(q, name, check)
-    cont = polynomial_gcd(cp, cq, check)
+    cp, pp = _content_primitive(p, name)
+    cq, pq = _content_primitive(q, name)
+    cont = polynomial_gcd(cp, cq)
     d = _screened_gcd_degree(pp, pq, name)
     if d == 0:
         return cont.primitive()
     if pp.degree(name) < pq.degree(name):
         pp, pq = pq, pp
     f, g, fields, unview = _views(pp, pq, name)
-    last, _ = _subresultant_prs(f, g, fields, check)
+    last, _ = _subresultant_prs(f, g, fields)
     if len(last) == 1:
         return cont.primitive()  # gcd is trivial in `name`
-    g = _content_primitive(unview(last), name, check)[1]
+    g = _content_primitive(unview(last), name)[1]
     return (cont * g).primitive()
 
 
@@ -702,11 +692,11 @@ def _mod_gcd_degree(a, b):
     return len(a) - 1
 
 
-def _content_primitive(p, name, check=None):
+def _content_primitive(p, name):
     """(content, primitive part) of p viewed in `name`."""
     cont = MultivariatePolynomial.zero(p.variables)
     for c in (p.coefficient_of(name, k) for k in range(p.degree(name) + 1)):
-        cont = polynomial_gcd(cont, c, check)
+        cont = polynomial_gcd(cont, c)
         if cont.is_constant() and not cont.is_zero:
             cont = MultivariatePolynomial.constant(p.variables, 1)
             break
@@ -714,17 +704,14 @@ def _content_primitive(p, name, check=None):
         return cont, p
     if cont.is_constant():
         return MultivariatePolynomial.constant(p.variables, 1), p.primitive()
-    return cont, exact_divide(p, cont, check).primitive()
+    return cont, exact_divide(p, cont).primitive()
 
 
-def squarefree_part(p, name, check=None):
-    """p with repeated factors (in `name`) removed, integer-primitive.
-
-    `check` is passed on to polynomial_gcd and exact_divide.
-    """
+def squarefree_part(p, name):
+    """p with repeated factors (in `name`) removed, integer-primitive."""
     if p.degree(name) <= 0:
         return p.primitive() if not p.is_zero else p
-    g = polynomial_gcd(p, p.derivative(name), check)
+    g = polynomial_gcd(p, p.derivative(name))
     if g.is_constant():
         return p.primitive()
-    return exact_divide(p, g, check).primitive()
+    return exact_divide(p, g).primitive()

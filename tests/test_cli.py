@@ -178,6 +178,14 @@ def test_eliminate_cache_hit_equals_cold(capsys, tmp_path):
     assert cold == warm == nocache
 
 
+@pytest.mark.parametrize("budget", ["inf", "1e300"])
+def test_eliminate_budget_beyond_the_timer_means_no_limit(capsys, tmp_path, budget):
+    code, _, err = run(
+        capsys, "eliminate", "--r", "2", "--timeout", budget, "--cache-dir", str(tmp_path)
+    )
+    assert code == EXIT_OK, err
+
+
 def test_guess_recurrence_cli(capsys, tmp_path):
     code, out, _ = run(
         capsys, "guess", "--r", "1", "--max-order", "1", "--max-degree", "1",

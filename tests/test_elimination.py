@@ -1,9 +1,10 @@
-from itertools import chain, repeat
-from types import SimpleNamespace
+import signal
+import threading
+import time
 
 import pytest
 
-from avoidwords import elimination, polynomials
+from avoidwords import elimination, groebner, polynomials
 from avoidwords.elimination import (
     EliminationTimeout,
     compress_exponents,
@@ -195,7 +196,7 @@ def test_split_common_factor_keeps_a_shared_factor_that_vanishes():
     g11, x = (MP.variable(scheme.variables, v) for v in ("G1_1", "x"))
     pivot, q = e * (g11 + 3), e * (g11 - x)
     assert resultant(pivot, q, "G1_1").is_zero
-    got = elimination._split_common_factor(2, pivot, q, "G1_1", None)
+    got = elimination._split_common_factor(2, pivot, q, "G1_1")
     assert got == e.primitive()
     assert _vanishes_on_r2_solution(got)
 
@@ -205,54 +206,68 @@ def test_split_common_factor_takes_the_cofactor_resultant():
     e1, e2 = scheme.equations[(0, 0)], scheme.equations[(1, 1)]
     a = MP.variable(scheme.variables, "G1_1") + 2  # its series starts at 2
     assert not _vanishes_on_r2_solution(a)
-    got = elimination._split_common_factor(2, a * e1, a * e2, "G1_1", None)
+    got = elimination._split_common_factor(2, a * e1, a * e2, "G1_1")
     assert got == resultant(e1, e2, "G1_1")
     assert not got.is_zero and got.degree("G1_1") == 0
     assert _vanishes_on_r2_solution(got)
 
 
-def test_resultant_chain_checks_its_budget_after_every_prs_step(monkeypatch):
-    now = [0.0]
-    monkeypatch.setattr(elimination, "time", SimpleNamespace(monotonic=lambda: now[0]))
-    steps, finished = [], []
-    prem = polynomials._prem  # the pseudo-remainder step of every PRS
+def _slowed(function):
+    def slowed(*args, **kwargs):
+        time.sleep(5)
+        return function(*args, **kwargs)
+    return slowed
 
-    def first_step_overruns(*args):
-        steps.append(args)
-        now[0] = 100.0  # past the deadline once this step is done
-        return prem(*args)
 
-    def recorded_resultant(*args, **kwargs):
-        finished.append(resultant(*args, **kwargs))
-        return finished[-1]
-
-    monkeypatch.setattr(polynomials, "_prem", first_step_overruns)
-    monkeypatch.setattr(elimination, "resultant", recorded_resultant)
+@pytest.mark.parametrize(
+    "module, name, r, backend",
+    [(polynomials, "_prem", 3, "resultants"), (groebner, "normal_form", 2, "buchberger")],
+    ids=["resultants", "buchberger"],
+)
+def test_deadline_interrupts_a_slow_step(monkeypatch, module, name, r, backend):
+    monkeypatch.setattr(module, name, _slowed(getattr(module, name)))
+    start = time.monotonic()
     with pytest.raises(EliminationTimeout):
-        eliminate(build_scheme(3), "resultants", timeout=10)
-    assert len(steps) == 1 and finished == []
+        eliminate(build_scheme(r), backend, timeout=0.3)
+    assert time.monotonic() - start < 2.5
 
 
-def test_deadline_interrupts_a_pseudo_remainder(monkeypatch):
-    now = [0.0]
-    monkeypatch.setattr(elimination, "time", SimpleNamespace(monotonic=lambda: now[0]))
-    calls, returned = [], []
-    prem = polynomials._prem  # the pseudo-remainder step of every PRS
+def test_timer_and_handler_are_restored_after_return_and_timeout(monkeypatch):
+    def previous(signum, frame):
+        pass
 
-    def overrun_during_first_call(*args):
-        calls.append(args)
-        now[0] = 100.0  # the deadline passes while this call runs
-        returned.append(prem(*args))
-        return returned[-1]
+    saved = signal.signal(signal.SIGALRM, previous)
+    try:
+        eliminate(build_scheme(2), "resultants", timeout=60)
+        assert signal.getsignal(signal.SIGALRM) is previous
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        monkeypatch.setattr(polynomials, "_prem", _slowed(polynomials._prem))
+        with pytest.raises(EliminationTimeout):
+            eliminate(build_scheme(2), "resultants", timeout=0.1)
+        assert signal.getsignal(signal.SIGALRM) is previous
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    finally:
+        signal.signal(signal.SIGALRM, saved)
 
-    monkeypatch.setattr(polynomials, "_prem", overrun_during_first_call)
+
+@pytest.mark.parametrize("backend", ["resultants", "buchberger"])
+def test_zero_budget_raises_before_any_step(backend):
     with pytest.raises(EliminationTimeout):
-        eliminate(build_scheme(3), "resultants", timeout=10)
-    assert len(calls) == 1 and returned == []
+        eliminate(build_scheme(1), backend, timeout=0)
 
 
-def test_buchberger_checks_the_same_deadline(monkeypatch):
-    clock = chain([0.0], repeat(100.0))  # past the deadline after the start
-    monkeypatch.setattr(elimination, "time", SimpleNamespace(monotonic=lambda: next(clock)))
-    with pytest.raises(EliminationTimeout):
-        eliminate(build_scheme(2), "buchberger", timeout=10)
+def test_a_budget_needs_the_main_thread():
+    outcome = {}
+
+    def run(timeout):
+        try:
+            outcome[timeout] = eliminate(build_scheme(2), timeout=timeout)
+        except ValueError as exc:
+            outcome[timeout] = exc
+
+    for timeout in (1, None):
+        thread = threading.Thread(target=run, args=(timeout,))
+        thread.start()
+        thread.join()
+    assert isinstance(outcome[1], ValueError)
+    assert outcome[None] == eliminate(build_scheme(2), timeout=None)

@@ -7,7 +7,6 @@ from avoidwords.polynomials import (
     NonDivisibleError,
     exact_divide,
     polynomial_gcd,
-    pseudo_rem,
     resultant,
     squarefree_part,
 )
@@ -221,28 +220,3 @@ def test_strip_monomial_content():
     p = X**2 * Y + X**3
     out = p.strip_monomial_content()
     assert out == Y + X
-
-
-class Stop(Exception):
-    pass
-
-
-def stop():
-    raise Stop
-
-
-@pytest.mark.parametrize(
-    "run",
-    [
-        lambda check: resultant(X**2 * Y + 1, X * Y**2 + X + 3, "x", check),
-        lambda check: polynomial_gcd((X + Y) * (X**2 + 2), (X + Y) * (X - 3), check),
-        lambda check: squarefree_part((X + Y) ** 2 * (X - Y), "x", check),
-        lambda check: pseudo_rem(X**3 + Y, X * Y + 1, "x", check),
-        lambda check: exact_divide((X + Y) ** 3, X + Y, check),
-    ],
-    ids=["resultant", "polynomial_gcd", "squarefree_part", "pseudo_rem", "exact_divide"],
-)
-def test_check_runs_after_a_prs_step(run):
-    assert run(None) is not None
-    with pytest.raises(Stop):
-        run(stop)
