@@ -31,20 +31,18 @@ class BruteForceCapError(ValueError):
 def contains_pattern(word, pattern):
     """True iff some subsequence of distinct letters is order-isomorphic to the pattern.
 
-    Linear scans for 123/132/231: 123 keeps two running minima, and 132
-    and 231 share one stack scan, since a word avoids 231 iff it is
-    stack-sortable (Knuth, TAOCP vol. 1, 2.2.1) and 132 is 231 read
-    backwards. Any other length-3 pattern falls back to checking all index
-    triples.
+    The pattern is any sequence of 1, 2, 3. Linear scans for 123/132/231:
+    123 keeps two running minima, and 132 and 231 share one stack scan,
+    since a word avoids 231 iff it is stack-sortable (Knuth, TAOCP vol. 1,
+    2.2.1) and 132 is 231 read backwards. Any other length-3 pattern falls
+    back to checking all index triples.
     """
+    pattern = tuple(pattern)
     if type(word) is not tuple:
         word = tuple(word)
-    if pattern == P123:
-        return _contains_123(word)
-    if pattern == P132:
-        return _contains_132(word)
-    if pattern == P231:
-        return _contains_231(word)
+    scan = _SCANS.get(pattern)
+    if scan:
+        return scan(word)
     if len(pattern) != 3 or sorted(pattern) != [1, 2, 3]:
         raise ValueError(f"not a length-3 pattern: {pattern}")
     n = len(word)
@@ -68,12 +66,12 @@ def _contains_123(word):
     m1 = _INF  # smallest letter so far
     m2 = _INF  # smallest letter with a strictly smaller letter before it
     for c in word:
-        if c > m2:
-            return True
-        if m1 < c < m2:
-            m2 = c
-        if c < m1:
+        if c <= m1:
             m1 = c
+        elif c <= m2:
+            m2 = c
+        else:
+            return True
     return False
 
 
@@ -94,6 +92,9 @@ def _contains_132(word):
 
 def _contains_231(word):
     return _contains_132(word[::-1])
+
+
+_SCANS = {P123: _contains_123, P132: _contains_132, P231: _contains_231}
 
 
 # ---------------- multiset enumeration ----------------
@@ -128,6 +129,7 @@ def count_avoiders_enumeration(multiplicities, pattern):
     Independent (slow) oracle for the pruned search below; no cap, caller
     beware.
     """
+    pattern = tuple(pattern)
     return sum(
         1 for w in multiset_permutations(multiplicities) if not contains_pattern(w, pattern)
     )
@@ -159,6 +161,7 @@ def count_avoiders_bruteforce(multiplicities, pattern, cap=DEFAULT_BRUTE_CAP):
     total = sum(multiplicities)
     if total > cap:
         raise BruteForceCapError(f"total length {total} exceeds cap {cap}")
+    pattern = tuple(pattern)
     if pattern == P123:
         return _count_123_avoiders(multiplicities, total)
     if pattern == P231:
@@ -266,50 +269,29 @@ def avoidance_involution(word):
     recurse on that; then re-insert the deleted letters (those > i) in
     reverse order at the clipped positions, and put i back in front.
 
-    The recursion is unrolled. Clipping only ever lowers letters to a bound
-    (one more than the smallest head so far), so one descent records the
-    levels and one unwind re-inserts their deleted letters, innermost level
-    first, on an output kept in reverse. Only a head that is a strict
-    left-to-right minimum needs a level. Any other head is clipped to the
-    bound and deletes nothing, or equals the running minimum and deletes
-    only letters already clipped to head+1, which go back to positions that
-    hold head+1; so its output letter is head+1 when it was clipped and the
-    head otherwise.
+    Here the recursion is one pass per strict left-to-right minimum
+    m_0 > m_1 > ... at positions d_0 < d_1 < ..., innermost first: the
+    positions after d_j whose current letter exceeds m_j take the original
+    letters above m_j after d_j, in reverse order. This equals the
+    recursion. Any other head equals the running minimum m or is clipped to
+    m+1, so its level only permutes equal letters. By induction from the
+    innermost level, the recursion's output from d_j on is this pass's,
+    clipped to m_(j-1) + 1: level j's clipped positions are exactly those
+    whose current letter exceeds m_j, and a letter that clipping lowers
+    exceeds m_(j-1), so level j-1 overwrites it. Nothing clips m_0's level.
     """
     if type(word) is not tuple:
         word = tuple(word)
-    if not word:
-        return ()
-    first = word[0]
-    levels = []  # (position, head, clip bound) of each later strict minimum
-    low = first
-    for d, c in enumerate(word):
-        if c < low:
-            levels.append((d, c, low + 1))
-            low = c
-    out = []
+    out = list(word)
     end = len(word)
-    for d, i, bound in reversed(levels):
-        top = i + 1
-        out += [i if c == i else top for c in word[end - 1:d:-1]]
-        deleted = [w if w < bound else bound for w in word[d + 1:] if w > i]
-        if deleted:
-            # read backwards, the clipped positions take the deleted letters
-            # in their original order
-            nxt = iter(deleted).__next__
-            out = [nxt() if c == top else c for c in out]
-        out.append(i)
+    while end:
+        m = min(word[:end])
+        d = word.index(m)
+        above = [c for c in word[d + 1:] if c > m]
+        if above:
+            nxt = reversed(above).__next__
+            out[d + 1:] = [nxt() if c > m else c for c in out[d + 1:]]
         end = d
-    # the first letter is a strict minimum with no bound above it: its
-    # deleted letters are not clipped
-    top = first + 1
-    out += [first if c == first else top for c in word[end - 1:0:-1]]
-    deleted = [w for w in word if w > first]
-    if deleted:
-        nxt = iter(deleted).__next__
-        out = [nxt() if c == top else c for c in out]
-    out.append(first)
-    out.reverse()
     return tuple(out)
 
 
@@ -337,13 +319,14 @@ def count_avoiders_recurrence(multiplicities):
 
     The n children of one run (value v, n copies, S the sum of the entries
     after it, H the entries before it plus one v - 1) are
-    H + v^j + {S + (n-1-j)v} for j < n, and their sum obeys
-    U(H, v, J, S) = A(H + v^(J-1) + {S}) + U(H, v, J-1, S + v),
-    U(H, v, 0, S) = 0. So A is one U per run, and U chains that different
-    parents share are summed once: a table of U values lives for one call,
-    while the A memo persists across calls.
+    H + v^j + {T - jv} for j < n, with T = S + (n-1)v. They depend on H and
+    T alone (v is one more than H's last value), and their sum is U_(n-1) on
+    the chain U_0 = A(H + {T}), U_j = U_(j-1) + A(H + v^j + {T - jv}). A
+    table that lives for one call holds each chain, keyed H + (T,), as the
+    list [U_0, U_1, ...] and extends it only past its current length, so the
+    parents that share a chain sum it once; the A memo persists across calls.
 
-    The A memo is a plain dict with idempotent inserts and the U table is
+    The A memo is a plain dict with idempotent inserts and the chain table is
     local to the call, so concurrent CPython threads are safe under the GIL;
     the intended contract is still one call tree per thread.
     """
@@ -363,16 +346,14 @@ def count_avoiders_recurrence(multiplicities):
     return _A_MEMO.get(key) or _A_recurse(key, {}, size)
 
 
-def _A_recurse(key, sums, size):
+def _A_recurse(key, chains, size):
     if not key:
         return 1
-    # key is not in the memo and lists `size` letters; sums maps
-    # head + (j, top) to U(head, v, j + 1, top), v being one more than
-    # head's last value (1 for an empty head). Every child key stays in run
-    # form without sorting: head's values are below v and a lump top is 0,
-    # v or above v. Every value is >= 1, so `or` calls the recursion only on
-    # a memo miss, and the U chain is walked in this frame, so the recursion
-    # goes one level deeper per letter
+    # key is not in the memo and lists `size` letters. Every child key stays
+    # in run form without sorting: head's values are below v and a lump top
+    # is 0, v or above v. Every value is >= 1, so `or` calls the recursion
+    # only on a memo miss, and a chain is extended in this frame, so the
+    # recursion goes one level deeper per letter
     total = 0
     s = size  # then the sum of the entries after the current run
     size -= 1  # each child lists one letter less
@@ -389,30 +370,23 @@ def _A_recurse(key, sums, size):
         r += 2
         if n == 1:
             child = head + (s, 1) if s else head
-            total += _A_MEMO.get(child) or _A_recurse(child, sums, size)
+            total += _A_MEMO.get(child) or _A_recurse(child, chains, size)
             continue
-        # children with j = n-1, n-2, ... copies of v kept, lump top = S + (n-1-j)v
-        top = s
-        walked = []
-        for j in range(n - 1, 0, -1):
-            ukey = head + (j, top)
-            got = sums.get(ukey)
-            if got is not None:
-                break
+        lump = s + (n - 1) * v  # T, the lump top of child_0
+        ckey = head + (lump,)
+        chain = chains.get(ckey)
+        if chain is None:
+            child = head + (lump, 1)
+            chain = chains[ckey] = [_A_MEMO.get(child) or _A_recurse(child, chains, size)]
+        for j in range(len(chain), n):  # child_j keeps j copies of v
+            top = lump - j * v
             if top == v:
                 child = head + (v, j + 1)
             elif top:
                 child = head + (v, j, top, 1)
             else:
                 child = head + (v, j)
-            walked.append((ukey, _A_MEMO.get(child) or _A_recurse(child, sums, size)))
-            top += v
-        else:
-            child = head + (top, 1)
-            got = _A_MEMO.get(child) or _A_recurse(child, sums, size)
-        for ukey, a in reversed(walked):
-            got += a
-            sums[ukey] = got
-        total += got
+            chain.append(chain[-1] + (_A_MEMO.get(child) or _A_recurse(child, chains, size)))
+        total += chain[n - 1]
     _A_MEMO[key] = total
     return total

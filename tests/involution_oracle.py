@@ -1,8 +1,9 @@
 """One re-insertion pass per letter: the oracle for ``avoidance_involution``.
 
-This is the unrolled recursion with a level for every letter of the word.
-The package function keeps only the levels whose head is a strict
-left-to-right minimum; tests compare the two.
+This is the unrolled recursion with a level for every letter of the word,
+each level clipping the letters after it. The package function makes one
+pass per strict left-to-right minimum, innermost first, and clips nothing;
+tests compare the two.
 """
 
 

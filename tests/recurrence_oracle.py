@@ -2,8 +2,8 @@
 
 This is the multiset recurrence with one memo entry per sorted vector and
 one lookup per child. The package function keys its memo by runs of equal
-multiplicities and sums the children of each run through a per-call table;
-tests compare the two.
+multiplicities and reads the sum of each run's children off a chain of
+running sums that a per-call table keeps; tests compare the two.
 """
 
 import sys

@@ -3,6 +3,7 @@ import random
 import re
 import sys
 import threading
+import tracemalloc
 from math import comb
 
 import pytest
@@ -71,6 +72,20 @@ def test_stack_scans_agree_with_naive_on_every_short_word():
         for word in itertools.product(range(1, 5), repeat=n):
             for p in (P132, P231):
                 assert contains_pattern(word, p) == _naive_contains(word, p), (word, p)
+
+
+def test_a_pattern_given_as_a_list_answers_as_its_tuple():
+    patterns = (P123, P132, P213, P231, P312, P321)
+    for n in range(7):
+        for word in itertools.product(range(1, 5), repeat=n):
+            for p in patterns:
+                assert contains_pattern(word, list(p)) == contains_pattern(word, p), (word, p)
+    for vector in ((1, 1, 1), (2, 2, 1)):
+        for p in patterns:
+            expected = count_avoiders_bruteforce(vector, p)
+            assert count_avoiders_bruteforce(vector, list(p)) == expected, (vector, p)
+            assert count_avoiders_enumeration(vector, list(p)) == expected, (vector, p)
+    assert count_avoiders_bruteforce((1, 1, 1), [1, 2, 3]) == 5
 
 
 # -------- brute-force counting --------
@@ -238,6 +253,23 @@ def test_recurrence_reaches_the_stated_depth(monkeypatch):
     for vector in ((deepest + 1,), (half, deepest + 1 - half)):
         with pytest.raises(ValueError, match=f"total length {deepest + 1} .*max {deepest}"):
             count_avoiders_recurrence(vector)
+
+
+def test_recurrence_memory_budget(monkeypatch):
+    # the oracle benchmark's two recurrence jobs, each from its largest n down
+    # as `count --method recurrence` computes them, from a cold memo: the
+    # per-call chain table must not hold much beside the memo itself
+    monkeypatch.setattr(words, "_A_MEMO", {})
+    tracemalloc.start()
+    try:
+        for r, nmax in ((3, 36), (5, 22)):
+            for n in range(nmax, -1, -1):
+                count_avoiders_recurrence((r,) * n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 13 * 2**20
+    assert len(words._A_MEMO) == 61075
 
 
 def test_recurrence_threads_get_oracle_values(monkeypatch):
