@@ -8,12 +8,14 @@ equation from data), asympt (growth-law report).
 Exit codes: 0 success and all requested verifications passed; 1 generic
 error, such as an out-of-range argument; 2 brute-force cap exceeded; 3
 timeout; 4 insufficient terms or no verified recurrence available; 5 a
-verification, reference match or exact arithmetic check failed. An
-exception from a run ends in one `error:` line on stderr, not a traceback.
+verification, reference match or exact arithmetic check failed. A usage
+error exits 1; it, like an exception from a run, ends in one `error:` line
+on stderr, not a usage block or a traceback.
 """
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from decimal import (
@@ -169,7 +171,7 @@ def cmd_scheme(args):
 
 def cmd_eliminate(args):
     cache = Cache(args.cache_dir, enabled=not args.no_cache)
-    timeout = None if args.unbounded else args.timeout
+    timeout = None if math.isinf(args.timeout) else args.timeout
     params = {"backend": args.backend, "timeout": "none" if timeout is None else timeout}
     cached = cache.load("equation", args.r, {"backend": args.backend})
     if cached is not None:
@@ -269,8 +271,14 @@ def cmd_asympt(args):
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse would exit 2, which is the brute-force cap's code
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="avoidwords",
         description="count 123-avoiding words with fixed letter multiplicities, "
         "derive the algebraic equations their generating functions satisfy, "
@@ -303,8 +311,7 @@ def build_parser():
     p = sub.add_parser("eliminate", help="derive the algebraic equation for f_r")
     add_common(p)
     p.add_argument("--backend", choices=["buchberger", "resultants"], default="resultants")
-    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
-    p.add_argument("--unbounded", action="store_true", help="no time limit (r=4 and up)")
+    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT, help="seconds; inf for no limit")
     p.set_defaults(func=cmd_eliminate)
 
     p = sub.add_parser("guess", help="guess a recurrence (or algebraic equation)")
@@ -345,9 +352,8 @@ def _check_ranges(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_ranges(args)
         return args.func(args)
     except (ValueError, ArithmeticError, EliminationTimeout, OSError) as exc:

@@ -1,11 +1,11 @@
 """Words over {1,...,n}, length-3 pattern containment, and avoider counting.
 
-Three routes to the same counts live here: a depth-first search over multiset
-arrangements that descends only into prefixes that can still avoid the
-pattern (for 132: that do not contain it yet), a plain lexicographic full
-enumeration used as a cross-check oracle, and the symmetric multiset
-recurrence. The involution that exchanges 123- and 132-avoidance is the
-combinatorial heart of the equality between the counts.
+Two routes to the same counts live here: the symmetric multiset recurrence,
+and a depth-first search over multiset arrangements that descends only into
+prefixes that can still avoid the pattern, one search for each class of
+length-3 patterns under reversal and complement, {123, 321} and
+{132, 231, 213, 312}. The involution that exchanges 123- and 132-avoidance
+is the combinatorial heart of the equality between the two classes' counts.
 """
 
 import sys
@@ -34,8 +34,9 @@ def contains_pattern(word, pattern):
     The pattern is any sequence of 1, 2, 3. Linear scans for 123/132/231:
     123 keeps two running minima, and 132 and 231 share one stack scan,
     since a word avoids 231 iff it is stack-sortable (Knuth, TAOCP vol. 1,
-    2.2.1) and 132 is 231 read backwards. Any other length-3 pattern falls
-    back to checking all index triples.
+    2.2.1) and 132 is 231 read backwards. A word contains 321, 312 or 213
+    iff its complement c -> max + 1 - c, which reverses the order of the
+    letters, contains 123, 132 or 231.
     """
     pattern = tuple(pattern)
     if type(word) is not tuple:
@@ -43,23 +44,7 @@ def contains_pattern(word, pattern):
     scan = _SCANS.get(pattern)
     if scan:
         return scan(word)
-    if len(pattern) != 3 or sorted(pattern) != [1, 2, 3]:
-        raise ValueError(f"not a length-3 pattern: {pattern}")
-    n = len(word)
-    for i in range(n - 2):
-        for j in range(i + 1, n - 1):
-            for k in range(j + 1, n):
-                if _order_isomorphic((word[i], word[j], word[k]), pattern):
-                    return True
-    return False
-
-
-def _order_isomorphic(triple, pattern):
-    a, b, c = triple
-    if a == b or a == c or b == c:
-        return False
-    ranks = sorted(triple)
-    return tuple(ranks.index(v) + 1 for v in triple) == pattern
+    return _contains_complemented(word, pattern)
 
 
 def _contains_123(word):
@@ -95,44 +80,15 @@ def _contains_231(word):
 
 
 _SCANS = {P123: _contains_123, P132: _contains_132, P231: _contains_231}
+_COMPLEMENTS = {P321: P123, P312: P132, P213: P231}
 
 
-# ---------------- multiset enumeration ----------------
-
-def multiset_permutations(multiplicities):
-    """All distinct arrangements, in lexicographic order (successor stepping)."""
-    word = []
-    for letter, count in enumerate(multiplicities, start=1):
-        word.extend([letter] * count)
-    if not word:
-        yield ()
-        return
-    word.sort()
-    n = len(word)
-    while True:
-        yield tuple(word)
-        i = n - 2
-        while i >= 0 and word[i] >= word[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while word[j] <= word[i]:
-            j -= 1
-        word[i], word[j] = word[j], word[i]
-        word[i + 1:] = reversed(word[i + 1:])
-
-
-def count_avoiders_enumeration(multiplicities, pattern):
-    """Count avoiders by full enumeration with the generic containment test.
-
-    Independent (slow) oracle for the pruned search below; no cap, caller
-    beware.
-    """
-    pattern = tuple(pattern)
-    return sum(
-        1 for w in multiset_permutations(multiplicities) if not contains_pattern(w, pattern)
-    )
+def _contains_complemented(word, pattern):
+    scan = _SCANS.get(_COMPLEMENTS.get(pattern))
+    if scan is None:
+        raise ValueError(f"not a length-3 pattern: {pattern}")
+    top = max(word, default=0) + 1
+    return scan(tuple([top - c for c in word]))
 
 
 def count_avoiders_bruteforce(multiplicities, pattern, cap=DEFAULT_BRUTE_CAP):
@@ -151,9 +107,13 @@ def count_avoiders_bruteforce(multiplicities, pattern, cap=DEFAULT_BRUTE_CAP):
       decreases, so a remaining letter below it completes a 231; if none is
       below it, the remaining letters in increasing order avoid 231.
 
-    For 132 a branch is cut as soon as the partial word contains the
-    pattern, since containment is monotone under extension. Total length is
-    capped (default 12), which bounds the avoiders enumerated.
+    Reversal maps the arrangements of a multiset one-to-one onto themselves
+    and 132-avoiders onto 231-avoiders, so 132 takes the 231 search.
+    Complement (i -> n + 1 - i) maps the arrangements of (a_1, ..., a_n)
+    one-to-one onto those of (a_n, ..., a_1) and avoiders of 321, 213, 312
+    onto avoiders of 123, 231, 132, so those three take the search of their
+    image on the reversed vector. Total length is capped (default 12), which
+    bounds the avoiders enumerated.
     """
     multiplicities = list(multiplicities)
     if any(a < 0 for a in multiplicities):
@@ -162,13 +122,14 @@ def count_avoiders_bruteforce(multiplicities, pattern, cap=DEFAULT_BRUTE_CAP):
     if total > cap:
         raise BruteForceCapError(f"total length {total} exceeds cap {cap}")
     pattern = tuple(pattern)
+    if pattern in _COMPLEMENTS:
+        multiplicities.reverse()
+        pattern = _COMPLEMENTS[pattern]
     if pattern == P123:
         return _count_123_avoiders(multiplicities, total)
-    if pattern == P231:
+    if pattern == P231 or pattern == P132:
         return _count_231_avoiders(multiplicities, total)
-    if pattern == P132:
-        return _count_132_avoiders(multiplicities, total)
-    return count_avoiders_enumeration(multiplicities, pattern)
+    raise ValueError(f"not a length-3 pattern: {pattern}")
 
 
 def _count_123_avoiders(multiplicities, total):
@@ -229,34 +190,6 @@ def _count_231_avoiders(multiplicities, total):
 
     lo = next((c for c in letters if counts[c]), len(full))
     return rec(0, lo, total)
-
-
-def _count_132_avoiders(multiplicities, total):
-    counts = [0] + multiplicities
-    letters = [c for c in range(len(counts) - 1, 0, -1) if counts[c]]
-    # best[v]: the least letter placed before some v; appending c completes
-    # a 132 iff best[v] < c for some v > c, so the walk goes down the letters
-    best = [_INF] * len(counts)
-
-    def rec(m1, remaining):
-        if remaining == 0:
-            return 1
-        total = 0
-        above = _INF  # the least best[v] over the letters v > c
-        for c in letters:
-            k = counts[c]
-            saved = best[c]
-            if k and above >= c:
-                best[c] = min(saved, m1)
-                counts[c] = k - 1
-                total += rec(min(m1, c), remaining - 1)
-                counts[c] = k
-                best[c] = saved
-            if saved < above:
-                above = saved
-        return total
-
-    return rec(_INF, total)
 
 
 # ---------------- the avoidance involution ----------------

@@ -186,6 +186,18 @@ def test_eliminate_budget_beyond_the_timer_means_no_limit(capsys, tmp_path, budg
     assert code == EXIT_OK, err
 
 
+def test_eliminate_without_limit_reports_valid_json(capsys, tmp_path):
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    code, out, _ = run(
+        capsys, "eliminate", "--r", "1", "--timeout", "inf", "--format", "json",
+        "--no-cache", "--cache-dir", str(tmp_path),
+    )
+    assert code == EXIT_OK
+    assert json.loads(out, parse_constant=reject)["parameters"]["timeout"] == "none"
+
+
 def test_guess_recurrence_cli(capsys, tmp_path):
     code, out, _ = run(
         capsys, "guess", "--r", "1", "--max-order", "1", "--max-degree", "1",
@@ -262,6 +274,10 @@ BAD_INPUTS = [
     (("count", "--r", "2", "--nmax", "3", "--method", "brute", "--cap", "5"), EXIT_CAP, "cap"),
     (("eliminate", "--r", "2", "--timeout", "0"), EXIT_TIMEOUT, "time"),
     (("eliminate", "--r", "2", "--timeout", "-1"), EXIT_ERROR, "--timeout"),
+    # usage errors: argparse alone would exit 2, the brute-force cap's code
+    (("count", "--nmax", "3"), EXIT_ERROR, "--r"),
+    (("count", "--r", "x", "--nmax", "3"), EXIT_ERROR, "--r"),
+    (("guess", "--r", "2", "--bogus"), EXIT_ERROR, "--bogus"),
 ]
 
 

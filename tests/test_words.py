@@ -7,6 +7,7 @@ import tracemalloc
 from math import comb
 
 import pytest
+from enumeration_oracle import count_avoiders_enumeration, multiset_permutations
 from hypothesis import example, given, settings, strategies as st
 from involution_oracle import involution_every_level
 from recurrence_oracle import recurrence_sorted_keys
@@ -23,10 +24,12 @@ from avoidwords.words import (
     avoidance_involution,
     contains_pattern,
     count_avoiders_bruteforce,
-    count_avoiders_enumeration,
     count_avoiders_recurrence,
-    multiset_permutations,
 )
+
+# the three with linear scans first, so the parametrized ids of the
+# original three patterns stay pattern0..pattern2
+PATTERNS = (P123, P132, P231, P213, P312, P321)
 
 
 # -------- containment --------
@@ -63,7 +66,7 @@ def _naive_contains(word, pattern):
 @settings(max_examples=150)
 @given(st.lists(st.integers(1, 5), max_size=8))
 def test_fast_scans_agree_with_naive(word):
-    for p in (P123, P132, P231):
+    for p in PATTERNS:
         assert contains_pattern(word, p) == _naive_contains(word, p)
 
 
@@ -114,8 +117,11 @@ def test_multiset_permutations_lexicographic_and_complete():
     assert len(list(multiset_permutations((1, 1, 1, 1)))) == 24
 
 
-@pytest.mark.parametrize("vector", [(1, 1, 1), (2, 2), (2, 1, 1), (2, 2, 1), (3, 2, 1)])
-@pytest.mark.parametrize("pattern", [P123, P132, P231])
+@pytest.mark.parametrize(
+    "vector",
+    [(1, 1, 1), (2, 2), (2, 1, 1), (2, 2, 1), (3, 2, 1), (0, 2, 1), (2, 0, 1, 1), (1, 3, 0, 2)],
+)
+@pytest.mark.parametrize("pattern", PATTERNS)
 def test_pruned_search_equals_full_enumeration(vector, pattern):
     assert count_avoiders_bruteforce(vector, pattern) == count_avoiders_enumeration(
         vector, pattern
@@ -136,6 +142,14 @@ def test_pruned_search_equals_full_enumeration_on_every_small_vector():
 
 def test_generic_pattern_falls_back():
     assert count_avoiders_bruteforce((1, 1, 1), P321) == 5
+
+
+@pytest.mark.parametrize("pattern", [(1, 2, 2), (1, 2, 3, 4), (0, 1, 2)])
+def test_not_a_length_3_pattern_is_rejected(pattern):
+    with pytest.raises(ValueError, match="not a length-3 pattern"):
+        contains_pattern((1, 2, 3), pattern)
+    with pytest.raises(ValueError, match="not a length-3 pattern"):
+        count_avoiders_bruteforce((1, 1, 1), pattern)
 
 
 # -------- the involution --------
