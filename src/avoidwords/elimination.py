@@ -2,8 +2,8 @@
 
 Two independent backends produce a polynomial in {x, G0_0} that annihilates
 the g^(0,0) series: a Groebner basis under a block elimination order, and a
-chain of resultants (one auxiliary variable at a time, square-free and
-content-reduced after each step). Compressing x^r -> x then yields the
+chain of resultants (one auxiliary variable at a time, monomial and integer
+content stripped after each step). Compressing x^r -> x then yields the
 algebraic equation satisfied by the counting generating function itself, a
 MultivariatePolynomial over ("x", "F") in the form `canonical_equation` gives.
 """
@@ -12,15 +12,8 @@ import signal
 from dataclasses import dataclass
 
 from .groebner import block_elimination_key, groebner_basis
-from .polynomials import (
-    MultivariatePolynomial,
-    NonDivisibleError,
-    exact_divide,
-    polynomial_gcd,
-    resultant,
-    squarefree_part,
-)
-from .scheme import scheme_pairs, solve_series, variable_name
+from .polynomials import MultivariatePolynomial, NonDivisibleError, exact_divide, resultant
+from .scheme import scheme_pairs, variable_name
 from .series import evaluate_on_series
 
 DEFAULT_TIMEOUT = 120.0
@@ -32,7 +25,8 @@ class EliminationTimeout(TimeoutError):
 
 
 class EmptyEliminationError(ArithmeticError):
-    """No basis element free of the eliminated variables: an internal defect."""
+    """Nothing free of the eliminated variables is left: no Groebner basis
+    element, or a resultant chain whose every pair had a zero resultant."""
 
 
 class InsufficientSeriesError(ValueError):
@@ -43,7 +37,8 @@ def eliminate(scheme, backend="resultants", timeout=DEFAULT_TIMEOUT):
     """A nonzero polynomial in {x, G0_0} vanishing on the scheme's solution.
 
     backend "resultants": variables removed one at a time, largest (i+j, i)
-    first, with square-free part and content stripped after every resultant.
+    first, with monomial and integer content stripped after every resultant;
+    a pair whose resultant is zero is dropped.
     backend "buchberger": reduced basis under the elimination order, smallest
     member free of the auxiliary variables.
 
@@ -102,12 +97,11 @@ def _eliminate_resultants(scheme):
         key=lambda p: (p[0] + p[1], p[0]),
         reverse=True,
     )
-    elim_names = [variable_name(p) for p in order]
     # monomial factors x^a * prod G^e never vanish on the series solution
     # (every enumerator has a nonzero series), so stripping them keeps every
     # intermediate a valid annihilator and stops degree creep
     polys = [poly.strip_monomial_content().primitive() for _, poly in sorted(scheme.equations.items())]
-    for step, name in enumerate(elim_names):
+    for name in map(variable_name, order):
         having = [p for p in polys if p.degree(name) > 0]
         others = [p for p in polys if p.degree(name) <= 0]
         if not having:
@@ -118,52 +112,19 @@ def _eliminate_resultants(scheme):
             polys = others
             continue
         pivot = min(having, key=lambda p: (p.degree(name), len(p)))
-        next_name = elim_names[step + 1] if step + 1 < len(elim_names) else None
         produced = []
         for q in having:
             if q is pivot:
                 continue
             res = resultant(pivot, q, name)
-            if res.is_zero:
-                res = _split_common_factor(scheme.r, pivot, q, name)
-                if res is None:
-                    continue
-            res = res.strip_monomial_content().primitive()
-            if next_name is not None and res.degree(next_name) > 0:
-                res = squarefree_part(res, next_name)
-            produced.append(res)
+            # zero: pivot and q share a factor; all kept still vanish on the solution
+            if not res.is_zero:
+                produced.append(res.strip_monomial_content().primitive())
         polys = others + produced
-    final = [p for p in polys if not p.is_zero]
-    if not final:
-        raise EmptyEliminationError("resultant chain collapsed to zero")
-    best = min(final, key=lambda p: (p.total_degree(), len(p)))
+    if not polys:
+        raise EmptyEliminationError("the resultant chain kept no polynomial")
+    best = min(polys, key=lambda p: (p.total_degree(), len(p)))
     return best.restrict_variables(("x", variable_name((0, 0)))).primitive()
-
-
-def _split_common_factor(r, pivot, q, name):
-    """Salvage a vanishing resultant: pivot and q share a factor in `name`.
-
-    The shared factor is kept when it vanishes on the series solution
-    (checked to a healthy cutoff); otherwise the cofactor of q does, and its
-    resultant with the pivot replaces the zero.
-    """
-    g = polynomial_gcd(pivot, q)
-    if g.is_constant():
-        return None
-    solution = {variable_name(p): s for p, s in solve_series(r, 12 * r + 1).items()}
-    if not any(evaluate_on_series(g, solution)):
-        return g
-    # g is nonzero on the solution, so both cofactors vanish on it
-    pivot2 = exact_divide(pivot, g)
-    q2 = exact_divide(q, g)
-    if pivot2.degree(name) > 0 and q2.degree(name) > 0:
-        res = resultant(pivot2, q2, name)
-        if not res.is_zero:
-            return res
-    for cofactor in (q2, pivot2):
-        if cofactor.degree(name) <= 0 and not cofactor.is_constant():
-            return cofactor
-    return None
 
 
 def f_major(exponents):

@@ -5,12 +5,11 @@ package makes is exact over Z (by the subresultant theorem in the PRS, and
 by Gauss's lemma wherever the divisor is primitive). Exponent vectors are
 tuples aligned with a fixed tuple of variable names; arithmetic packs them
 into ints: a product or an exact division packs its operands, and a
-resultant, gcd or pseudo-remainder packs its two operands once and runs the
+resultant or pseudo-remainder packs its two operands once and runs the
 whole subresultant PRS on packed coefficients. Schoolbook algorithms
 throughout, at desk scale.
 """
 
-import random as _random
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd
@@ -152,9 +151,6 @@ class MultivariatePolynomial:
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        return all(all(e == 0 for e in exps) for exps in self.terms)
-
     def degree(self, name):
         """Degree in one variable; -1 for the zero polynomial."""
         if not self.terms:
@@ -249,18 +245,6 @@ class MultivariatePolynomial:
                 ee = list(e)
                 ee[i] = 0
                 out[tuple(ee)] = c
-        return MultivariatePolynomial(self.variables, out)
-
-    def derivative(self, name):
-        i = self.variables.index(name)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ee = list(e)
-            ee[i] -= 1
-            ee = tuple(ee)
-            out[ee] = out.get(ee, 0) + c * e[i]
         return MultivariatePolynomial(self.variables, out)
 
     def substitute_power(self, name, divisor):
@@ -586,132 +570,3 @@ def _subresultant_prs(f, g, fields):
         c = (_divide_packed(_power(_neg(lc), d), _power(c, d - 1), nv, width)
              if d > 1 else _neg(lc))
     return g, _neg(c)
-
-
-# ---------------- gcd and square-free part ----------------
-
-def polynomial_gcd(p, q):
-    """gcd over the integers, returned primitive with positive lead.
-
-    A random-evaluation screen settles the common trivial case in one
-    univariate gcd; a genuinely nontrivial gcd falls through to Brown's
-    subresultant remainder sequence.
-    """
-    if p.is_zero:
-        return q.primitive()
-    if q.is_zero:
-        return p.primitive()
-    p._check_compatible(q)
-    if p.is_constant() or q.is_constant():
-        return MultivariatePolynomial.constant(p.variables, 1)
-    common = [v for v in p.variables if p.degree(v) > 0 and q.degree(v) > 0]
-    if not common:
-        return MultivariatePolynomial.constant(p.variables, 1)
-    name = max(common, key=lambda v: min(p.degree(v), q.degree(v)))
-    cp, pp = _content_primitive(p, name)
-    cq, pq = _content_primitive(q, name)
-    cont = polynomial_gcd(cp, cq)
-    d = _screened_gcd_degree(pp, pq, name)
-    if d == 0:
-        return cont.primitive()
-    if pp.degree(name) < pq.degree(name):
-        pp, pq = pq, pp
-    f, g, fields, unview = _views(pp, pq, name)
-    last, _ = _subresultant_prs(f, g, fields)
-    if len(last) == 1:
-        return cont.primitive()  # gcd is trivial in `name`
-    g = _content_primitive(unview(last), name)[1]
-    return (cont * g).primitive()
-
-
-SCREEN_TRIALS = 2  # nontrivial univariate gcds before the screen gives up
-SCREEN_PRIME = 2**61 - 1
-
-
-def _screened_gcd_degree(p, q, name):
-    """Upper-bound check on deg_name(gcd) by specializing the other variables.
-
-    Returns 0 as soon as one specialization mod SCREEN_PRIME (preserving both
-    leading coefficients) has a trivial univariate gcd; otherwise returns a
-    positive number (possibly an overestimate -- callers only rely on the 0
-    case).
-    """
-    rng = _random.Random(0x5eed)
-    others = [v for v in p.variables if v != name]
-    best = None
-    trials = SCREEN_TRIALS
-    attempts = 0
-    while trials > 0 and attempts < 12:
-        attempts += 1
-        point = {v: rng.choice([-7, -5, -4, -3, -2, 2, 3, 4, 5, 7, 8, 11]) for v in others}
-        a = _eval_univariate(p, name, point)
-        b = _eval_univariate(q, name, point)
-        # the trimmed lists lose their top entry when a leading coefficient
-        # vanishes mod SCREEN_PRIME; otherwise the image gcd has at least
-        # the true gcd's degree
-        if len(a) <= p.degree(name) or len(b) <= q.degree(name):
-            continue
-        d = _mod_gcd_degree(a, b)
-        best = d if best is None else min(best, d)
-        if best == 0:
-            return 0
-        trials -= 1
-    return best if best is not None else max(p.degree(name), q.degree(name))
-
-
-def _eval_univariate(p, name, point):
-    """Coefficient list mod SCREEN_PRIME of p with every variable but `name`
-    specialized, trimmed of vanishing top entries."""
-    i = p.variables.index(name)
-    others = [(j, point[v]) for j, v in enumerate(p.variables) if j != i]
-    out = {}
-    for e, c in p.terms.items():
-        for j, v in others:
-            if e[j]:
-                c = c * pow(v, e[j], SCREEN_PRIME) % SCREEN_PRIME
-        out[e[i]] = (out.get(e[i], 0) + c) % SCREEN_PRIME
-    coeffs = [out.get(k, 0) for k in range(max(out, default=-1) + 1)]
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
-
-def _mod_gcd_degree(a, b):
-    """Degree of the gcd over GF(SCREEN_PRIME) of two trimmed coefficient lists."""
-    a, b = list(a), list(b)
-    while b:
-        inv = pow(b[-1], -1, SCREEN_PRIME)
-        while len(a) >= len(b):
-            f = a.pop() * inv % SCREEN_PRIME
-            shift = len(a) - len(b) + 1
-            for k, c in enumerate(b[:-1], shift):
-                a[k] = (a[k] - f * c) % SCREEN_PRIME
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return len(a) - 1
-
-
-def _content_primitive(p, name):
-    """(content, primitive part) of p viewed in `name`."""
-    cont = MultivariatePolynomial.zero(p.variables)
-    for c in (p.coefficient_of(name, k) for k in range(p.degree(name) + 1)):
-        cont = polynomial_gcd(cont, c)
-        if cont.is_constant() and not cont.is_zero:
-            cont = MultivariatePolynomial.constant(p.variables, 1)
-            break
-    if cont.is_zero:
-        return cont, p
-    if cont.is_constant():
-        return MultivariatePolynomial.constant(p.variables, 1), p.primitive()
-    return cont, exact_divide(p, cont).primitive()
-
-
-def squarefree_part(p, name):
-    """p with repeated factors (in `name`) removed, integer-primitive."""
-    if p.degree(name) <= 0:
-        return p.primitive() if not p.is_zero else p
-    g = polynomial_gcd(p, p.derivative(name))
-    if g.is_constant():
-        return p.primitive()
-    return exact_divide(p, g).primitive()

@@ -64,7 +64,7 @@ def _contains_132(word):
     # read right to left, a 1-3-2 is a 2-3-1: the stack holds the letters
     # with no larger letter after them yet, and low, the largest letter
     # popped, is the largest with one; a later letter below low completes it
-    low = 0
+    low = -_INF
     stack = []
     for c in reversed(word):
         if c < low:

@@ -7,6 +7,7 @@ import pytest
 from avoidwords import elimination, groebner, polynomials
 from avoidwords.elimination import (
     EliminationTimeout,
+    EmptyEliminationError,
     compress_exponents,
     eliminate,
     f_major,
@@ -18,17 +19,9 @@ from avoidwords.fixtures import reference_equation
 from avoidwords.polynomials import (
     MultivariatePolynomial as MP,
     NonDivisibleError,
-    polynomial_gcd,
     resultant,
 )
-from avoidwords.scheme import (
-    AlgebraicScheme,
-    build_scheme,
-    solve_series,
-    variable_name,
-    word_counts,
-)
-from avoidwords.series import evaluate_on_series
+from avoidwords.scheme import AlgebraicScheme, build_scheme, word_counts
 from resultant_oracle import sylvester_resultant
 
 
@@ -171,45 +164,46 @@ def test_match_mismatch():
     assert match_equation(reference_equation(1), reference_equation(2)).status == "mismatch"
 
 
-# -------- gcd backstop used by the chain --------
+# -------- the resultant chain's steps --------
 
-def test_final_chain_outputs_share_reference_factor():
+class _StopChain(Exception):
+    pass
+
+
+def test_r4_chain_reaches_its_23rd_resultant_quickly(monkeypatch):
+    # the first 22 resultants are cheap; the 23rd, in G0_2, is where r=4
+    # stalls, so its inputs pin the shape of the chain up to there
+    calls = []
+
+    def recorded(p, q, name):
+        calls.append((time.monotonic(), p, q, name))
+        if len(calls) == 23:
+            raise _StopChain
+        return resultant(p, q, name)
+
+    monkeypatch.setattr(elimination, "resultant", recorded)
+    scheme = build_scheme(4)
+    start = time.monotonic()
+    with pytest.raises(_StopChain):
+        eliminate(scheme, "resultants", timeout=None)
+    at, p, q, name = calls[-1]
+    assert name == "G0_2"
+    assert (len(p), len(q)) == (120, 458)
+    assert (p.degree(name), q.degree(name)) == (8, 12)
+    assert at - start < 1.0
+
+
+def test_a_chain_whose_pairs_all_share_a_factor_raises():
+    # every equation in G1_1 gets the factor G1_1 + 3, so each of their
+    # resultants in G1_1 is zero and the chain keeps nothing
     scheme = build_scheme(2)
-    a = eliminate(scheme, "buchberger")
-    b = eliminate(scheme, "resultants")
-    g = polynomial_gcd(a, b)
-    p = compress_exponents(g, 2)
-    assert match_equation(p, reference_equation(2))
-
-
-def _vanishes_on_r2_solution(poly):
-    cutoff = 25
-    assignment = {}
-    for pair, series in solve_series(2, cutoff).items():
-        assignment[variable_name(pair)] = series
-    return not any(evaluate_on_series(poly, assignment))
-
-
-def test_split_common_factor_keeps_a_shared_factor_that_vanishes():
-    scheme = build_scheme(2)
-    e = scheme.equations[(1, 1)]
-    g11, x = (MP.variable(scheme.variables, v) for v in ("G1_1", "x"))
-    pivot, q = e * (g11 + 3), e * (g11 - x)
-    assert resultant(pivot, q, "G1_1").is_zero
-    got = elimination._split_common_factor(2, pivot, q, "G1_1")
-    assert got == e.primitive()
-    assert _vanishes_on_r2_solution(got)
-
-
-def test_split_common_factor_takes_the_cofactor_resultant():
-    scheme = build_scheme(2)
-    e1, e2 = scheme.equations[(0, 0)], scheme.equations[(1, 1)]
-    a = MP.variable(scheme.variables, "G1_1") + 2  # its series starts at 2
-    assert not _vanishes_on_r2_solution(a)
-    got = elimination._split_common_factor(2, a * e1, a * e2, "G1_1")
-    assert got == resultant(e1, e2, "G1_1")
-    assert not got.is_zero and got.degree("G1_1") == 0
-    assert _vanishes_on_r2_solution(got)
+    factor = MP.variable(scheme.variables, "G1_1") + 3
+    equations = {
+        pair: e * factor if e.degree("G1_1") > 0 else e for pair, e in scheme.equations.items()
+    }
+    shared = AlgebraicScheme(r=2, variables=scheme.variables, equations=equations)
+    with pytest.raises(EmptyEliminationError):
+        eliminate(shared, "resultants")
 
 
 def _slowed(function):

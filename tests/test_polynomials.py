@@ -3,12 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from avoidwords.polynomials import (
     MultivariatePolynomial as MP,
-    SCREEN_PRIME,
     NonDivisibleError,
     exact_divide,
-    polynomial_gcd,
     resultant,
-    squarefree_part,
 )
 from division_oracle import pseudo_division
 from resultant_oracle import sylvester_resultant
@@ -156,42 +153,16 @@ def test_resultant_nonzero_for_coprime():
 @settings(max_examples=20, deadline=None)
 @given(small_polys, small_polys)
 def test_nonzero_resultant_implies_coprime(p, q):
+    sympy = pytest.importorskip("sympy")
     if p.degree("y") < 1 or q.degree("y") < 1:
         return
     if not resultant(p, q, "y").is_zero:
-        assert polynomial_gcd(p, q).degree("y") <= 0
+        x, y = sympy.symbols(VARS)
 
+        def to_sympy(a):
+            return sum(c * x**i * y**j for (i, j), c in a.terms.items())
 
-# -------- gcd / squarefree --------
-
-def test_gcd_of_products():
-    g = X + Y
-    p = g * (X - ONE)
-    q = g * (Y + ONE) * 3
-    got = polynomial_gcd(p, q)
-    assert got == g.primitive()
-
-
-def test_gcd_trivial():
-    assert polynomial_gcd(X, Y).is_constant()
-
-
-def test_gcd_screen_skips_points_where_a_leading_coefficient_vanishes():
-    # the x-leading coefficient SCREEN_PRIME*y vanishes mod SCREEN_PRIME at
-    # every sample point, where the images share no factor
-    g = SCREEN_PRIME * X * Y + ONE
-    assert polynomial_gcd(g * (X + 2), g * (X + 3)) == g
-
-
-def test_squarefree_part_removes_squares():
-    p = (X + Y) ** 2 * (X - ONE)
-    sf = squarefree_part(p, "x")
-    assert sf == ((X + Y) * (X - ONE)).primitive()
-
-
-def test_squarefree_part_noop_on_squarefree():
-    p = (X + Y) * (X - ONE)
-    assert squarefree_part(p, "x") == p.primitive()
+        assert sympy.degree(sympy.gcd(to_sympy(p), to_sympy(q)), y) <= 0
 
 
 # -------- serialization --------

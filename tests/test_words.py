@@ -64,7 +64,10 @@ def _naive_contains(word, pattern):
 
 
 @settings(max_examples=150)
-@given(st.lists(st.integers(1, 5), max_size=8))
+@given(st.lists(st.integers(-3, 5), max_size=8))
+@example([-1, -2])  # too short for a 132; a sentinel of 0 reported one
+@example([0, -1])  # the same, with a letter at the old sentinel
+@example([-2, -1])  # too short for a 231
 def test_fast_scans_agree_with_naive(word):
     for p in PATTERNS:
         assert contains_pattern(word, p) == _naive_contains(word, p)
