@@ -4,13 +4,13 @@ Ratios and normalized terms are computed exactly as rationals, rounded to
 128-bit floats only at the boundary, then accelerated by Richardson (Neville
 in 1/n) extrapolation. The growth rates and the -3/2 exponent are on firm
 footing; the leading constants are conjectural and reported as such.
+
+mpmath is imported inside the functions that compute with it, so importing
+this module (and through it the package and the CLI) does not load it.
 """
 
 from dataclasses import dataclass, asdict
 from fractions import Fraction
-
-import mpmath
-from mpmath import mp, mpf
 
 from .fixtures import load_cached_recurrence
 from .scheme import word_counts
@@ -33,14 +33,16 @@ def conjectured_growth(r):
 
 def reference_constant(r):
     """Conjectural leading constant, evaluated from its closed form (r <= 5)."""
+    from mpmath import mp, pi, sqrt
+
     with mp.workprec(PRECISION_BITS):
-        inv_sqrt_pi = 1 / mpmath.sqrt(mpmath.pi)
+        inv_sqrt_pi = 1 / sqrt(pi)
         forms = {
             1: inv_sqrt_pi,
-            2: inv_sqrt_pi * 3 * mpmath.sqrt(3) / (7 * mpmath.sqrt(7)),
+            2: inv_sqrt_pi * 3 * sqrt(3) / (7 * sqrt(7)),
             3: inv_sqrt_pi / 8,
-            4: inv_sqrt_pi / (6 * mpmath.sqrt(6)),
-            5: inv_sqrt_pi * 3 * mpmath.sqrt(3) / 125,
+            4: inv_sqrt_pi / (6 * sqrt(6)),
+            5: inv_sqrt_pi * 3 * sqrt(3) / 125,
         }
         return forms.get(r)
 
@@ -55,12 +57,16 @@ REFERENCE_FIRST_CORRECTION = {
 
 
 def _frac_to_mpf(fr):
+    from mpmath import mpf
+
     fr = Fraction(fr)
     return mpf(fr.numerator) / mpf(fr.denominator)
 
 
 def _richardson(values, indices, depth):
     """Neville extrapolation to h=0 with h=1/n; exact for poly of degree `depth` in 1/n."""
+    from mpmath import mpf
+
     h = [mpf(1) / n for n in indices]
     table = list(values)
     for m in range(1, depth + 1):
@@ -81,6 +87,8 @@ def growth_ratio(terms):
     """Extrapolated limit of w(n)/w(n-1) from the tail of the terms."""
     if len(terms) < 50:
         raise TooFewTermsError("need at least 50 terms for a growth estimate")
+    from mpmath import mp
+
     idx = _tail(len(terms), RICHARDSON_DEPTH)
     with mp.workprec(PRECISION_BITS):
         ratios = [_frac_to_mpf(Fraction(terms[n], terms[n - 1])) for n in idx]
@@ -88,6 +96,8 @@ def growth_ratio(terms):
 
 
 def _normalized_terms(terms, indices, growth, exponent):
+    from mpmath import mp, mpf
+
     with mp.workprec(PRECISION_BITS):
         g = mpf(growth) if not isinstance(growth, mpf) else growth
         out = []
@@ -101,6 +111,8 @@ def fit_constant(terms, growth, exponent):
     """Extrapolated limit of w(n) / (growth^n * n^exponent)."""
     if growth <= 0:
         raise ValueError("growth must be positive")
+    from mpmath import mp, mpf
+
     idx = _tail(len(terms), RICHARDSON_DEPTH)
     with mp.workprec(PRECISION_BITS):
         u = _normalized_terms(terms, idx, growth, mpf(exponent))
@@ -109,6 +121,8 @@ def fit_constant(terms, growth, exponent):
 
 def fit_exponent(terms, growth):
     """Free fit of e in w(n) ~ C * growth^n * n^e."""
+    from mpmath import log, mp, mpf
+
     idx = _tail(len(terms), QUOTIENT_DEPTH)
     with mp.workprec(PRECISION_BITS):
         g = mpf(growth)
@@ -116,7 +130,7 @@ def fit_exponent(terms, growth):
         for n in idx:
             vn = mpf(terms[n]) / g**n
             vp = mpf(terms[n - 1]) / g ** (n - 1)
-            es.append(mpmath.log(vn / vp) / mpmath.log(mpf(n) / (n - 1)))
+            es.append(log(vn / vp) / log(mpf(n) / (n - 1)))
         return _richardson(es, idx, QUOTIENT_DEPTH)
 
 
@@ -126,6 +140,8 @@ def fit_first_correction(terms, growth, exponent):
     Uses -n(n+1)*(u(n+1)/u(n) - 1) = c1 + O(1/n), which sidesteps the fitted
     constant entirely.
     """
+    from mpmath import mp, mpf
+
     nmax = len(terms) - 1
     idx = _tail(nmax, QUOTIENT_DEPTH)
     with mp.workprec(PRECISION_BITS):
@@ -239,6 +255,8 @@ def conjecture_check(r, nmax=2000, tol=0.01, seq=None):
         seq, source = sequence_for(r, nmax)
     else:
         nmax, source = len(seq) - 1, "supplied"
+    from mpmath import mp, mpf, pi
+
     with mp.workprec(PRECISION_BITS):
         growth = growth_ratio(seq)
         target = conjectured_growth(r)
@@ -266,7 +284,7 @@ def conjecture_check(r, nmax=2000, tol=0.01, seq=None):
             reference_first_correction=(
                 None if c1ref is None else float(c1ref)
             ),
-            constant_squared_times_pi=float(c * c * mpmath.pi),
+            constant_squared_times_pi=float(c * c * pi),
             source=source,
         )
 

@@ -212,6 +212,20 @@ def avoidance_involution(word):
     clipped to m_(j-1) + 1: level j's clipped positions are exactly those
     whose current letter exceeds m_j, and a letter that clipping lowers
     exceeds m_(j-1), so level j-1 overwrites it. Nothing clips m_0's level.
+
+    Two kinds of level change nothing, and the pass skips them:
+
+    * One whose own segment, the letters strictly between d_j and d_(j+1)
+      (or the end of the word), has no letter above m_j. After level j+1,
+      done or skipped, the letters above m_(j+1) after d_(j+1) stand in
+      reverse original order, so those above m_j do too. The inner levels
+      write nothing up to d_(j+1), and with none in the segment these are
+      all the letters above m_j after d_j, so re-inserting them writes
+      each back where it is. The innermost level's segment is the rest of
+      the word, so it has nothing to re-insert.
+    * One with at most one letter above m_j after d_j. The levels inside it
+      only permute the letters after d_j, so exactly that letter, if any,
+      exceeds m_j there now, and it is written back onto itself.
     """
     if type(word) is not tuple:
         word = tuple(word)
@@ -220,10 +234,11 @@ def avoidance_involution(word):
     while end:
         m = min(word[:end])
         d = word.index(m)
-        above = [c for c in word[d + 1:] if c > m]
-        if above:
-            nxt = reversed(above).__next__
-            out[d + 1:] = [nxt() if c > m else c for c in out[d + 1:]]
+        if d + 1 < end and max(word[d + 1:end]) > m:
+            above = [c for c in word[d + 1:] if c > m]
+            if len(above) > 1:
+                nxt = reversed(above).__next__
+                out[d + 1:] = [nxt() if c > m else c for c in out[d + 1:]]
         end = d
     return tuple(out)
 
@@ -231,12 +246,14 @@ def avoidance_involution(word):
 # ---------------- the multiset recurrence ----------------
 
 _A_MEMO = {}
+_FIELD_MAX = 0xFFFF  # a packed memo key has 16 bits per field
 
 
 def check_recurrence_depth(size):
     """ValueError when words of total length `size` are too deep for the
-    recurrence, which goes one stack frame deeper per letter."""
-    deepest = sys.getrecursionlimit() - _RECURSION_HEADROOM
+    recurrence, which goes one stack frame deeper per letter, or too long for
+    its memo keys, whose fields are at most the total length."""
+    deepest = min(sys.getrecursionlimit() - _RECURSION_HEADROOM, _FIELD_MAX)
     if size > deepest:
         raise ValueError(f"total length {size} is too deep for the recurrence (max {deepest})")
 
@@ -248,16 +265,20 @@ def count_avoiders_recurrence(multiplicities):
     A() = 1; components that hit zero are dropped. The value is symmetric in
     its arguments, so the vector is taken in ascending order and a memo key
     lists its runs of equal entries as (v1, n1, v2, n2, ...): value v_k
-    occurs n_k times, v1 < v2 < ....
+    occurs n_k times, v1 < v2 < .... The key is that list packed into one
+    int, 16 bits per field, first field most significant; the empty list is
+    0. Every field is at least 1 and at most the total length, which
+    `check_recurrence_depth` keeps below 2^16, so the packing is one-to-one.
 
     The n children of one run (value v, n copies, S the sum of the entries
     after it, H the entries before it plus one v - 1) are
     H + v^j + {T - jv} for j < n, with T = S + (n-1)v. They depend on H and
     T alone (v is one more than H's last value), and their sum is U_(n-1) on
     the chain U_0 = A(H + {T}), U_j = U_(j-1) + A(H + v^j + {T - jv}). A
-    table that lives for one call holds each chain, keyed H + (T,), as the
-    list [U_0, U_1, ...] and extends it only past its current length, so the
-    parents that share a chain sum it once; the A memo persists across calls.
+    table that lives for one call holds each chain, keyed by H's fields and
+    then T packed the same way, as the list [U_0, U_1, ...] and extends it
+    only past its current length, so the parents that share a chain sum it
+    once; the A memo persists across calls.
 
     The A memo is a plain dict with idempotent inserts and the chain table is
     local to the call, so concurrent CPython threads are safe under the GIL;
@@ -275,51 +296,58 @@ def count_avoiders_recurrence(multiplicities):
             runs[-1] += 1
         else:
             runs += (a, 1)
-    key = tuple(runs)
+    key = 0
+    for field in runs:
+        key = key << 16 | field
     return _A_MEMO.get(key) or _A_recurse(key, {}, size)
 
 
 def _A_recurse(key, chains, size):
     if not key:
         return 1
-    # key is not in the memo and lists `size` letters. Every child key stays
-    # in run form without sorting: head's values are below v and a lump top
-    # is 0, v or above v. Every value is >= 1, so `or` calls the recursion
-    # only on a memo miss, and a chain is extended in this frame, so the
-    # recursion goes one level deeper per letter
+    # key is not in the memo and lists `size` letters. The runs are walked
+    # from the last to the first: `pre` packs the runs before the current
+    # one, so a head is `pre` with its last count raised or with (v - 1, 1)
+    # appended. Every child key stays in run form without sorting: head's
+    # values are below v and a lump top is 0, v or above v. Every value is
+    # >= 1, so `or` calls the recursion only on a memo miss, and a chain is
+    # extended in this frame, so the recursion goes one level deeper per
+    # letter
     total = 0
-    s = size  # then the sum of the entries after the current run
+    s = 0  # the sum of the entries after the current run
     size -= 1  # each child lists one letter less
-    r = 0
-    it = iter(key)
-    for v, n in zip(it, it):
-        s -= v * n
-        if v == 1:
-            head = ()
-        elif r and key[r - 2] == v - 1:
-            head = key[:r - 1] + (key[r - 1] + 1,)
+    pre = key
+    while pre:
+        n = pre & 0xFFFF
+        v = pre >> 16 & 0xFFFF
+        pre >>= 32
+        if v == 1:  # the first run; v - 1 is dropped
+            head = 0
+        elif pre >> 16 & 0xFFFF == v - 1:
+            head = pre + 1
         else:
-            head = key[:r] + (v - 1, 1)
-        r += 2
+            head = (pre << 16 | v - 1) << 16 | 1
         if n == 1:
-            child = head + (s, 1) if s else head
+            child = (head << 16 | s) << 16 | 1 if s else head
             total += _A_MEMO.get(child) or _A_recurse(child, chains, size)
-            continue
-        lump = s + (n - 1) * v  # T, the lump top of child_0
-        ckey = head + (lump,)
-        chain = chains.get(ckey)
-        if chain is None:
-            child = head + (lump, 1)
-            chain = chains[ckey] = [_A_MEMO.get(child) or _A_recurse(child, chains, size)]
-        for j in range(len(chain), n):  # child_j keeps j copies of v
-            top = lump - j * v
-            if top == v:
-                child = head + (v, j + 1)
-            elif top:
-                child = head + (v, j, top, 1)
-            else:
-                child = head + (v, j)
-            chain.append(chain[-1] + (_A_MEMO.get(child) or _A_recurse(child, chains, size)))
-        total += chain[n - 1]
+        else:
+            lump = s + (n - 1) * v  # T, the lump top of child_0
+            ckey = head << 16 | lump
+            chain = chains.get(ckey)
+            if chain is None:
+                child = ckey << 16 | 1
+                chain = chains[ckey] = [_A_MEMO.get(child) or _A_recurse(child, chains, size)]
+            hv = (head << 16 | v) << 16  # head + (v, 0)
+            for j in range(len(chain), n):  # child_j keeps j copies of v
+                top = lump - j * v
+                if top == v:
+                    child = hv | j + 1
+                elif top:
+                    child = ((hv | j) << 16 | top) << 16 | 1
+                else:
+                    child = hv | j
+                chain.append(chain[-1] + (_A_MEMO.get(child) or _A_recurse(child, chains, size)))
+            total += chain[n - 1]
+        s += v * n
     _A_MEMO[key] = total
     return total

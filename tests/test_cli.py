@@ -1,6 +1,8 @@
 import contextlib
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 from decimal import Decimal, Inexact, localcontext
@@ -331,6 +333,16 @@ def test_unusable_cache_directory_exits_1(capsys, tmp_path):
 def test_every_exported_name_resolves():
     missing = [name for name in avoidwords.__all__ if not hasattr(avoidwords, name)]
     assert missing == []
+
+
+def test_importing_the_package_and_cli_does_not_load_mpmath():
+    # only the growth-law fits compute with mpmath; they import it themselves
+    src = os.path.dirname(os.path.dirname(avoidwords.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys, avoidwords, avoidwords.cli; print('mpmath' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True)
+    assert done.stdout.split() == ["False"]
 
 
 def test_recurrence_depth_is_checked_before_any_term(capsys, monkeypatch, tmp_path):

@@ -272,10 +272,22 @@ def test_recurrence_reaches_the_stated_depth(monkeypatch):
             count_avoiders_recurrence(vector)
 
 
+def test_recurrence_refuses_totals_beyond_a_packed_field(monkeypatch):
+    # a memo key field holds at most 2^16 - 1, and a lump holds up to the
+    # total length, whatever the recursion limit allows
+    monkeypatch.setattr(words, "_A_MEMO", {})
+    monkeypatch.setattr(sys, "getrecursionlimit", lambda: 10**6)
+    with pytest.raises(ValueError, match=r"^total length 70000 .*\(max 65535\)$") as info:
+        count_avoiders_recurrence((35_000, 35_000))
+    assert "\n" not in str(info.value)
+
+
 def test_recurrence_memory_budget(monkeypatch):
     # the oracle benchmark's two recurrence jobs, each from its largest n down
     # as `count --method recurrence` computes them, from a cold memo: the
-    # per-call chain table must not hold much beside the memo itself
+    # per-call chain table must not hold much beside the memo itself. The
+    # traced peak on CPython 3.11 is 9.33 MiB with int memo keys (11.55 MiB
+    # with tuple keys)
     monkeypatch.setattr(words, "_A_MEMO", {})
     tracemalloc.start()
     try:
@@ -285,7 +297,7 @@ def test_recurrence_memory_budget(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 13 * 2**20
+    assert peak < 10.25 * 2**20
     assert len(words._A_MEMO) == 61075
 
 
