@@ -287,11 +287,12 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, formats=("text", "json")):
+    def add_common(p, formats=("text", "json"), cached=True):
         p.add_argument("--r", type=int, required=True, help="occurrences of each letter")
         p.add_argument("--format", choices=list(formats), default="text")
-        p.add_argument("--cache-dir", default=None, help="cache directory (env AVOIDWORDS_CACHE_DIR)")
-        p.add_argument("--no-cache", action="store_true")
+        if cached:
+            p.add_argument("--cache-dir", default=None, help="cache directory (env AVOIDWORDS_CACHE_DIR)")
+            p.add_argument("--no-cache", action="store_true")
 
     p = sub.add_parser("count", help="print w_r(0..nmax)")
     add_common(p, formats=("text", "json", "bfile"))
@@ -305,7 +306,7 @@ def build_parser():
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("scheme", help="print the equation system")
-    add_common(p)
+    add_common(p, cached=False)
     p.set_defaults(func=cmd_scheme)
 
     p = sub.add_parser("eliminate", help="derive the algebraic equation for f_r")
@@ -315,7 +316,7 @@ def build_parser():
     p.set_defaults(func=cmd_eliminate)
 
     p = sub.add_parser("guess", help="guess a recurrence (or algebraic equation)")
-    add_common(p)
+    add_common(p, cached=False)
     p.add_argument("--max-order", type=int, default=4)
     p.add_argument("--max-degree", type=int, default=8)
     p.add_argument("--terms", type=int, default=None)

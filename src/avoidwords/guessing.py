@@ -187,12 +187,10 @@ def guess_recurrence(terms, max_order, max_degree):
 
 
 def _recurrence_candidates(terms, order, degree):
-    """Kernel recurrences of exactly this order and degree bound; none when
-    too few terms remain to fit the box."""
+    """Kernel recurrences of exactly this order and degree bound."""
     width = (order + 1) * (degree + 1)
+    # rows >= width in both guessers: `need` leaves the outer box's width past holdout and shifts
     rows = min(width + 4, len(terms) - HOLDOUT - order)
-    if rows < width - 1:
-        return []
     kernel = integer_kernel(lambda p: _recurrence_matrix(terms, order, degree, rows, p))
     recs = (LinearRecurrence.from_kernel_vector(vec, order, degree) for vec in kernel)
     # a lower-order recurrence would have been found earlier
@@ -243,12 +241,9 @@ def guess_algebraic(series, max_deg_x, max_deg_f):
 
 
 def _algebraic_candidates(series, powers_mod, dx, df):
-    """Canonical kernel equations within (dx, df); none when too few
-    coefficients remain to fit the box."""
+    """Canonical kernel equations within (dx, df)."""
     width = (dx + 1) * (df + 1)
     rows = min(width + 4, len(series) - HOLDOUT)
-    if rows < width - 1:
-        return []
     kernel = integer_kernel(lambda p: _algebraic_matrix(powers_mod(p), dx, df, rows))
     return [
         canonical_equation(MultivariatePolynomial(

@@ -7,22 +7,16 @@ row-reduced over GF(p) with numpy, and the reduced kernel bases of agreeing
 primes are combined by CRT until rational reconstruction succeeds and one
 further prime confirms it.
 
-A prime can be unlucky: it divides a minor, so its rank is lower or its
-pivots lie further right than over the rationals. Neither can go the other
-way, so the reduction with the highest rank and then the leftmost pivots
-wins; a better prime restarts the combination, and a worse one is skipped.
-
 The vectors returned are candidates, not proofs: callers accept one only
 after an exact check of their own.
 """
 
-from functools import cache
+from itertools import count
 from math import gcd, isqrt, lcm, prod
 from operator import mul
+from threading import Lock
 
 import numpy as np
-
-MAX_PRIMES = 64
 
 
 def _is_prime(n):
@@ -49,21 +43,21 @@ def _is_prime(n):
     return True
 
 
-@cache
-def _primes_below(bound, count):
-    """The `count` largest primes below `bound`, largest first; found once per process."""
-    out = []
-    p = (bound - 2) | 1
-    while len(out) < count:
-        if _is_prime(p):
-            out.append(p)
-        p -= 2
-    return tuple(out)
+_FOUND = {}  # bound -> the primes below it found so far, largest first
+_FOUND_LOCK = Lock()
 
 
-def _primes():
-    """The MAX_PRIMES largest primes below 2^31, largest first."""
-    return _primes_below(2**31, MAX_PRIMES)
+def primes_below(bound):
+    """The odd primes below `bound`, largest first, without end (RuntimeError if
+    they run out). Streams with one bound extend one shared list under a lock,
+    so each candidate is tested once per process and no prime appears twice."""
+    found = _FOUND.setdefault(bound, [])
+    for i in count():
+        with _FOUND_LOCK:
+            if i == len(found):
+                start = found[-1] - 2 if found else (bound - 2) | 1
+                found.append(next(p for p in range(start, 2, -2) if _is_prime(p)))
+        yield found[i]
 
 
 def _mod_rref_kernel(matrix_mod, p):
@@ -112,9 +106,7 @@ def _rational_reconstruct(c, m):
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         s0, s1 = s1, s0 - q * s1
-    if abs(s1) > bound or s1 == 0:
-        return None
-    if gcd(r1, abs(s1)) != 1:
+    if s1 == 0 or abs(s1) > bound or gcd(r1, abs(s1)) != 1:
         return None
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
@@ -170,12 +162,26 @@ def integer_kernel(build):
     """Candidate kernel basis of an integer matrix, as primitive integer vectors.
 
     `build(p)` returns the matrix reduced mod p: rows of residues, as nested
-    lists or a 2-D integer array. The result is empty when the kernel is zero
-    (a reduction of full column rank proves that) or when MAX_PRIMES primes do not
-    suffice to reconstruct it.
+    lists or a 2-D integer array. An empty result means that some reduction
+    had full column rank, which proves the kernel zero.
+
+    The primes come from `primes_below(2**31)`, uncapped, and the loop ends.
+    Let the matrix have rank k over Q and RREF pivots P, and fix a nonzero
+    k-by-k minor D on P. Call p lucky when its reduction has rank k and
+    pivots P; every p not dividing D is, as P stays independent and each
+    other column a combination of the pivots before it. Mod p the rank can
+    only fall and the pivots only move right, so no reduction beats a lucky
+    one; as a better one restarts the combination and a worse one is
+    skipped, from the first lucky prime on only lucky ones combine, with the
+    residues of the rational kernel basis. By Cramer's rule its entries are
+    ratios of k-by-k minors, at most Hadamard's bound H (the product of the
+    columns' norms, each at least 1). Once the lucky primes' product m
+    exceeds 2H^2, isqrt(m // 2) >= H, so every entry reconstructs exactly and
+    the next lucky prime confirms it; the primes below 2^31 run out only for
+    H of 10^9 bits.
     """
     best = None
-    for p in _primes():
+    for p in primes_below(2**31):
         pivots, basis = _mod_rref_kernel(build(p), p)
         if not basis:
             return []
@@ -190,4 +196,3 @@ def integer_kernel(build):
                     for u, v in zip(residues, basis)]
         modulus *= p
         vectors = _reconstruct(residues, modulus)
-    return []

@@ -32,7 +32,7 @@ from math import ceil, prod
 
 import numpy as np
 
-from .linalg import _crt, _crt_rows, _primes_below
+from .linalg import _crt, _crt_rows, primes_below
 from .polynomials import MultivariatePolynomial
 
 
@@ -295,15 +295,12 @@ def _sweep_primes(r, cutoff, bound):
     product; so L*(p-1)^2 < 2^63.
     """
     b = (63 - (-(-cutoff // r)).bit_length()) // 2
-    # every candidate exceeds 2^(b-1), so `enough` of them exceed `bound`; the
-    # count is rounded up to a power of two, so that few lists are generated
-    enough = bound.bit_length() // (b - 1) + 1
-    primes = _primes_below(2**b, 1 << (enough - 1).bit_length())
-    modulus = 1
-    for used, p in enumerate(primes, 1):
+    primes, modulus = [], 1
+    for p in primes_below(2**b):
+        primes.append(p)
         modulus *= p
         if modulus > bound:
-            return list(primes[:used])
+            return primes
 
 
 def _exact(r, cutoff, pairs):

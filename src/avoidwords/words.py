@@ -255,7 +255,8 @@ def check_recurrence_depth(size):
     its memo keys, whose fields are at most the total length."""
     deepest = min(sys.getrecursionlimit() - _RECURSION_HEADROOM, _FIELD_MAX)
     if size > deepest:
-        raise ValueError(f"total length {size} is too deep for the recurrence (max {deepest})")
+        cause = "overflows the 16-bit memo key field of" if deepest == _FIELD_MAX else "is too deep for"
+        raise ValueError(f"total length {size} {cause} the recurrence (max {deepest})")
 
 
 def count_avoiders_recurrence(multiplicities):

@@ -78,16 +78,16 @@ def test_count_cap_exit_code(capsys, tmp_path):
     assert code == EXIT_CAP and "cap" in err
 
 
-def test_scheme_text(capsys, tmp_path):
-    code, out, _ = run(capsys, "scheme", "--r", "2", "--cache-dir", str(tmp_path))
+def test_scheme_text(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("AVOIDWORDS_CACHE_DIR", str(tmp_path))
+    code, out, _ = run(capsys, "scheme", "--r", "2")
     assert code == EXIT_OK
     assert "g^(0,0)" in out and "g^(1,1)" in out
 
 
-def test_scheme_json(capsys, tmp_path):
-    code, out, _ = run(
-        capsys, "scheme", "--r", "2", "--format", "json", "--cache-dir", str(tmp_path)
-    )
+def test_scheme_json(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("AVOIDWORDS_CACHE_DIR", str(tmp_path))
+    code, out, _ = run(capsys, "scheme", "--r", "2", "--format", "json")
     assert code == EXIT_OK
     doc = json.loads(out)
     assert set(doc["result"]["equations"]) == {"0,0", "0,1", "1,1"}
@@ -200,32 +200,28 @@ def test_eliminate_without_limit_reports_valid_json(capsys, tmp_path):
     assert json.loads(out, parse_constant=reject)["parameters"]["timeout"] == "none"
 
 
-def test_guess_recurrence_cli(capsys, tmp_path):
-    code, out, _ = run(
-        capsys, "guess", "--r", "1", "--max-order", "1", "--max-degree", "1",
-        "--cache-dir", str(tmp_path),
-    )
+def test_guess_recurrence_cli(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("AVOIDWORDS_CACHE_DIR", str(tmp_path))
+    code, out, _ = run(capsys, "guess", "--r", "1", "--max-order", "1", "--max-degree", "1")
     assert code == EXIT_OK
     assert "w(n+1)" in out and "empirically-verified" in out
 
 
-def test_guess_ignores_a_planted_recurrence(capsys, tmp_path):
+def test_guess_ignores_a_planted_recurrence(capsys, tmp_path, monkeypatch):
     # a wrong recurrence stored under the key `guess` once read and wrote
+    monkeypatch.setenv("AVOIDWORDS_CACHE_DIR", str(tmp_path))
     wrong = LinearRecurrence(((-3,), (1,)))
     params = {"max_order": 2, "max_degree": 3, "terms": 28}
-    Cache(tmp_path).store("recurrence", 2, params, wrong.to_json())
-    code, out, _ = run(
-        capsys, "guess", "--r", "2", "--max-order", "2", "--max-degree", "3",
-        "--cache-dir", str(tmp_path),
-    )
+    Cache().store("recurrence", 2, params, wrong.to_json())
+    code, out, _ = run(capsys, "guess", "--r", "2", "--max-order", "2", "--max-degree", "3")
     assert code == EXIT_OK
     assert out.splitlines() == [str(reference_recurrence(2)), "status: empirically-verified"]
 
 
-def test_guess_algebraic_cli(capsys, tmp_path):
+def test_guess_algebraic_cli(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("AVOIDWORDS_CACHE_DIR", str(tmp_path))
     code, out, _ = run(
-        capsys, "guess", "--r", "1", "--algebraic", "--max-deg-x", "1",
-        "--max-deg-f", "2", "--cache-dir", str(tmp_path),
+        capsys, "guess", "--r", "1", "--algebraic", "--max-deg-x", "1", "--max-deg-f", "2"
     )
     assert code == EXIT_OK
     assert "reference match: equal" in out
@@ -280,14 +276,18 @@ BAD_INPUTS = [
     (("count", "--nmax", "3"), EXIT_ERROR, "--r"),
     (("count", "--r", "x", "--nmax", "3"), EXIT_ERROR, "--r"),
     (("guess", "--r", "2", "--bogus"), EXIT_ERROR, "--bogus"),
+    # the cache flags belong to count, eliminate and asympt only
+    (("guess", "--r", "2", "--no-cache"), EXIT_ERROR, "--no-cache"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,code,fragment", BAD_INPUTS, ids=[" ".join(a) for a, _, _ in BAD_INPUTS]
 )
-def test_bad_input_exit_code_and_one_line_error(capsys, tmp_path, argv, code, fragment):
-    got, out, err = run(capsys, *argv, "--no-cache", "--cache-dir", str(tmp_path))
+def test_bad_input_exit_code_and_one_line_error(capsys, tmp_path, monkeypatch, argv, code,
+                                                fragment):
+    monkeypatch.setenv("AVOIDWORDS_CACHE_DIR", str(tmp_path))
+    got, out, err = run(capsys, *argv)
     assert got == code
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

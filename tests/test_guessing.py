@@ -1,4 +1,5 @@
 from decimal import Decimal, localcontext
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -48,8 +49,8 @@ def test_r3_recurrence_matches_transcription():
 def test_unlucky_first_prime_is_replaced(monkeypatch, small):
     # a small prime divides minors of the fit matrix, so its rank is too low;
     # the later primes must take over rather than be skipped
-    real = linalg._primes()
-    monkeypatch.setattr(linalg, "_primes", lambda: (small,) + real)
+    real = linalg.primes_below
+    monkeypatch.setattr(linalg, "primes_below", lambda bound: chain((small,), real(bound)))
     rec = guess_recurrence(word_counts(2, 60), 2, 3)
     assert rec is not None and rec.coeffs == reference_recurrence(2).coeffs
 
@@ -57,7 +58,7 @@ def test_unlucky_first_prime_is_replaced(monkeypatch, small):
 def test_modular_matrices_match_exact_rows():
     # the numpy builders against the integer matrices they reduce, at the
     # largest prime, where int64 products come closest to overflow
-    p = linalg._primes()[0]
+    p = next(linalg.primes_below(2**31))
     terms = word_counts(5, 40)
     order, degree, rows = 4, 6, 30
     exact = [[n**j * terms[n + k] for k in range(order + 1) for j in range(degree + 1)]
@@ -75,6 +76,17 @@ def test_modular_matrices_match_exact_rows():
     residues = np.array([[c % p for c in s] for s in powers], dtype=np.int64)
     built = _algebraic_matrix(residues, dx, df, rows)
     assert built.tolist() == [[c % p for c in row] for row in exact]
+
+
+def test_recurrence_past_64_primes_is_found():
+    # w(n+1) = (a*n + b) * w(n) with a 1,110-bit a: reconstructing a and b
+    # takes more than 64 primes below 2^31, and no cap may stop the search
+    a, b = 3**700 + 1, 5**480 + 7
+    terms = [1]
+    for n in range(30):
+        terms.append((a * n + b) * terms[-1])
+    rec = guess_recurrence(terms, 1, 1)
+    assert rec is not None and rec.coeffs == ((-b, -a), (1,))
 
 
 def test_search_is_minimal_in_order_plus_degree():

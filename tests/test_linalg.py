@@ -1,9 +1,13 @@
+import sys
+import threading
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from avoidwords.linalg import integer_kernel
+from avoidwords import linalg
+from avoidwords.linalg import integer_kernel, primes_below
 from fraction_solver import kernel_basis, solve_linear_system
 
 
@@ -113,3 +117,37 @@ def test_modular_kernel_spans_oracle_kernel(matrix):
     if vectors:
         # independent: no nonzero combination of the vectors vanishes
         assert kernel_basis([list(col) for col in zip(*vectors)]) == []
+
+
+def test_kernel_past_64_primes_is_reconstructed():
+    # the kernel of [[a, b]] is spanned by (-b, a)/2, whose entries need more
+    # than 64 primes below 2^31 to reconstruct, where a capped search gave []
+    a, b = 3**700 + 1, 5**480 + 7
+    assert integer_kernel(lambda p: [[a % p, b % p]]) == [[-b // 2, a // 2]]
+
+
+def test_prime_stream_threads_share_one_list_without_repeats(monkeypatch):
+    # more threads than cores extend one fresh stream at once, switching
+    # often; a lost check-then-append would repeat a prime
+    monkeypatch.setattr(linalg, "_FOUND", {})
+    bound, take = 2**25, 300
+    got = [None] * 8
+
+    def read(k):
+        got[k] = list(islice(primes_below(bound), take))
+
+    threads = [threading.Thread(target=read, args=(k,)) for k in range(len(got))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    found = linalg._FOUND[bound]
+    assert found == sorted(set(found), reverse=True) and len(found) == take
+    assert all(g == found for g in got)
+    assert all(linalg._is_prime(p) for p in found) and found[0] == 2**25 - 39

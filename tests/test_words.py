@@ -280,6 +280,7 @@ def test_recurrence_refuses_totals_beyond_a_packed_field(monkeypatch):
     with pytest.raises(ValueError, match=r"^total length 70000 .*\(max 65535\)$") as info:
         count_avoiders_recurrence((35_000, 35_000))
     assert "\n" not in str(info.value)
+    assert "memo key field" in str(info.value) and "deep" not in str(info.value)
 
 
 def test_recurrence_memory_budget(monkeypatch):
