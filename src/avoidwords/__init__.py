@@ -25,6 +25,7 @@ from .words import (
     contains_pattern,
     count_avoiders_bruteforce,
     count_avoiders_recurrence,
+    recurrence_counts,
     avoidance_involution,
 )
 from .scheme import (
@@ -55,6 +56,7 @@ __all__ = [
     "contains_pattern",
     "count_avoiders_bruteforce",
     "count_avoiders_recurrence",
+    "recurrence_counts",
     "avoidance_involution",
     "AlgebraicScheme",
     "build_scheme",

@@ -20,7 +20,6 @@ import sys
 from datetime import datetime, timezone
 from decimal import (
     MAX_EMAX,
-    MAX_PREC,
     MIN_EMIN,
     Context,
     Decimal,
@@ -64,9 +63,9 @@ from .words import (
     DEFAULT_BRUTE_CAP,
     P123,
     BruteForceCapError,
-    check_recurrence_depth,
+    check_recurrence_length,
     count_avoiders_bruteforce,
-    count_avoiders_recurrence,
+    recurrence_counts,
 )
 
 EXIT_OK = 0
@@ -91,9 +90,12 @@ EXIT_CODES = (
 # `count --method linear-rec` extends its recurrence in decimal: libmpdec
 # keeps base 10**19 digits, so printing a term is linear in its length, where
 # int -> str is quadratic. Every term is an integer with exponent 0 and prints
-# as plain digits; any step that would round traps instead
+# as plain digits; any step that would round traps instead. The precision,
+# 10**7 digits, is far above the terms the CLI prints (w_5(2000) has 4,561)
+# and finite: at MAX_PREC an inexact quotient made libmpdec try to allocate
+# MAX_PREC digits and raise MemoryError before it could trap
 EXACT = Context(
-    prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+    prec=10**7, Emax=MAX_EMAX, Emin=MIN_EMIN,
     traps=[Inexact, Rounded, InvalidOperation, DivisionByZero, Overflow],
 )
 
@@ -126,10 +128,8 @@ def _counts_via(method, r, nmax, cap, cache):
             raise BruteForceCapError(f"r*nmax = {r * nmax} exceeds cap {cap}")
         return [count_avoiders_bruteforce((r,) * n, P123, cap=cap) for n in range(nmax + 1)]
     if method == "recurrence":
-        for n in range(nmax + 1):  # a too-deep n fails before any term is computed
-            check_recurrence_depth(r * n)
-        # the largest n first leaves every smaller one in the memo
-        return [count_avoiders_recurrence((r,) * n) for n in range(nmax, -1, -1)][::-1]
+        check_recurrence_length(r * nmax)  # before any vector is built
+        return recurrence_counts((r,) * n for n in range(nmax + 1))
     if method == "linear-rec":
         verified = verified_recurrence(r)
         if verified is None:

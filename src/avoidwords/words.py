@@ -8,8 +8,6 @@ length-3 patterns under reversal and complement, {123, 321} and
 is the combinatorial heart of the equality between the two classes' counts.
 """
 
-import sys
-
 P123 = (1, 2, 3)
 P132 = (1, 3, 2)
 P213 = (2, 1, 3)
@@ -20,8 +18,6 @@ P321 = (3, 2, 1)
 DEFAULT_BRUTE_CAP = 12
 
 _INF = float("inf")
-# stack frames left to the callers of the multiset recurrence
-_RECURSION_HEADROOM = 200
 
 
 class BruteForceCapError(ValueError):
@@ -245,52 +241,129 @@ def avoidance_involution(word):
 
 # ---------------- the multiset recurrence ----------------
 
-_A_MEMO = {}
-_FIELD_MAX = 0xFFFF  # a packed memo key has 16 bits per field
+_FIELD_MAX = 0xFFFF  # a packed key has 16 bits per field
 
 
-def check_recurrence_depth(size):
-    """ValueError when words of total length `size` are too deep for the
-    recurrence, which goes one stack frame deeper per letter, or too long for
-    its memo keys, whose fields are at most the total length."""
-    deepest = min(sys.getrecursionlimit() - _RECURSION_HEADROOM, _FIELD_MAX)
-    if size > deepest:
-        cause = "overflows the 16-bit memo key field of" if deepest == _FIELD_MAX else "is too deep for"
-        raise ValueError(f"total length {size} {cause} the recurrence (max {deepest})")
+def check_recurrence_length(size):
+    """ValueError when words of total length `size` are too long for the
+    recurrence's keys, whose fields are at most the total length."""
+    if size > _FIELD_MAX:
+        raise ValueError(
+            f"total length {size} overflows the 16-bit key field of the recurrence (max {_FIELD_MAX})"
+        )
 
 
 def count_avoiders_recurrence(multiplicities):
     """Number of 123-avoiding arrangements via the symmetric recurrence.
 
     A(a_1,...,a_n) = sum_i A(a_1,...,a_{i-1}, a_i - 1, a_{i+1}+...+a_n), with
-    A() = 1; components that hit zero are dropped. The value is symmetric in
-    its arguments, so the vector is taken in ascending order and a memo key
-    lists its runs of equal entries as (v1, n1, v2, n2, ...): value v_k
-    occurs n_k times, v1 < v2 < .... The key is that list packed into one
-    int, 16 bits per field, first field most significant; the empty list is
-    0. Every field is at least 1 and at most the total length, which
-    `check_recurrence_depth` keeps below 2^16, so the packing is one-to-one.
+    A() = 1; components that hit zero are dropped. `recurrence_counts` gives
+    the method; for several vectors it shares their states in one pass.
+    """
+    return recurrence_counts([multiplicities])[0]
+
+
+def recurrence_counts(vectors):
+    """[A(v) for v in vectors], A the symmetric multiset recurrence.
+
+    Each child of a state lists one letter less than the state, so the
+    states fall into levels by total length. A top-down sweep collects the
+    states that each level reaches from the vectors; a bottom-up sweep then
+    computes each level from the one below and frees that one, so it holds
+    two levels of values at a time. Nothing outlives the call. `vectors` is
+    any iterable, read once; each vector is packed into its key as it is
+    read, and every one is checked before any state is visited.
+
+    A is symmetric in its arguments, so a vector is taken in ascending order
+    and a state lists its runs of equal entries as (v1, n1, v2, n2, ...):
+    value v_k occurs n_k times, v1 < v2 < .... Its key is that list packed
+    into one int, 16 bits per field, first field most significant; the empty
+    list is 0. Every field is at least 1 and at most the total length, which
+    is refused above 2^16 - 1, so the packing is one-to-one.
 
     The n children of one run (value v, n copies, S the sum of the entries
     after it, H the entries before it plus one v - 1) are
     H + v^j + {T - jv} for j < n, with T = S + (n-1)v. They depend on H and
     T alone (v is one more than H's last value), and their sum is U_(n-1) on
-    the chain U_0 = A(H + {T}), U_j = U_(j-1) + A(H + v^j + {T - jv}). A
-    table that lives for one call holds each chain, keyed by H's fields and
-    then T packed the same way, as the list [U_0, U_1, ...] and extends it
-    only past its current length, so the parents that share a chain sum it
-    once; the A memo persists across calls.
-
-    The A memo is a plain dict with idempotent inserts and the chain table is
-    local to the call, so concurrent CPython threads are safe under the GIL;
-    the intended contract is still one call tree per thread.
+    the chain U_0 = A(H + {T}), U_j = U_(j-1) + A(H + v^j + {T - jv}). Each
+    level keeps a table of its chains, keyed by H's fields and then T packed
+    the same way, that records how far each chain has been extended: the
+    top-down sweep adds each chain's children once, and the bottom-up sweep
+    holds the chain as the list [U_0, U_1, ...] and sums it once for all the
+    parents that share it.
     """
+    packed = [_packed(v) for v in vectors]
+    wanted = {}  # total length -> the keys asked for
+    for size, key in packed:
+        wanted.setdefault(size, set()).add(key)
+    levels = _reachable(wanted)
+    found = {0: 1}
+    below = {0: 1}  # the values of the level below
+    for size in range(1, len(levels)):
+        values = {}
+        chains = {}
+        for key in levels[size]:
+            # the runs are walked from the last to the first: `pre` packs the
+            # runs before the current one, so a head is `pre` with its last
+            # count raised or with (v - 1, 1) appended. Every child key stays
+            # in run form without sorting: head's values are below v and a
+            # lump top is 0, v or above v
+            total = 0
+            s = 0  # the sum of the entries after the current run
+            n = key & 0xFFFF
+            v = key >> 16 & 0xFFFF
+            pre = key >> 32
+            while True:
+                u = pre >> 16 & 0xFFFF  # the value of the run before; 0 for none
+                if v == 1:  # the first run; v - 1 is dropped
+                    head = 0
+                elif u == v - 1:
+                    head = pre + 1
+                else:
+                    head = (pre << 16 | v - 1) << 16 | 1
+                if n == 1:
+                    total += below[(head << 16 | s) << 16 | 1 if s else head]
+                else:
+                    lump = s + (n - 1) * v  # T, the lump top of child_0
+                    ckey = head << 16 | lump
+                    chain = chains.get(ckey)
+                    if chain is None:
+                        chain = chains[ckey] = [below[ckey << 16 | 1]]
+                    if len(chain) < n:
+                        hv = (head << 16 | v) << 16  # head + (v, 0)
+                        for j in range(len(chain), n):  # child_j keeps j copies of v
+                            top = lump - j * v
+                            if top == v:
+                                child = hv | j + 1
+                            elif top:
+                                child = ((hv | j) << 16 | top) << 16 | 1
+                            else:
+                                child = hv | j
+                            chain.append(chain[-1] + below[child])
+                    total += chain[n - 1]
+                if not pre:
+                    break
+                s += v * n
+                n = pre & 0xFFFF
+                v = u
+                pre >>= 32
+            values[key] = total
+        levels[size] = None
+        below = values
+        for key in wanted.get(size, ()):
+            found[key] = values[key]
+    return [found[key] for _, key in packed]
+
+
+def _packed(multiplicities):
+    """(total length, packed key) of one vector; ValueError if it has a
+    negative entry or is too long for a key field."""
     multiplicities = list(multiplicities)
     if any(a < 0 for a in multiplicities):
         raise ValueError("multiplicities must be nonnegative")
     entries = sorted(a for a in multiplicities if a > 0)
     size = sum(entries)
-    check_recurrence_depth(size)
+    check_recurrence_length(size)
     runs = []
     for a in entries:
         if runs and runs[-2] == a:
@@ -300,55 +373,59 @@ def count_avoiders_recurrence(multiplicities):
     key = 0
     for field in runs:
         key = key << 16 | field
-    return _A_MEMO.get(key) or _A_recurse(key, {}, size)
+    return size, key
 
 
-def _A_recurse(key, chains, size):
-    if not key:
-        return 1
-    # key is not in the memo and lists `size` letters. The runs are walked
-    # from the last to the first: `pre` packs the runs before the current
-    # one, so a head is `pre` with its last count raised or with (v - 1, 1)
-    # appended. Every child key stays in run form without sorting: head's
-    # values are below v and a lump top is 0, v or above v. Every value is
-    # >= 1, so `or` calls the recursion only on a memo miss, and a chain is
-    # extended in this frame, so the recursion goes one level deeper per
-    # letter
-    total = 0
-    s = 0  # the sum of the entries after the current run
-    size -= 1  # each child lists one letter less
-    pre = key
-    while pre:
-        n = pre & 0xFFFF
-        v = pre >> 16 & 0xFFFF
-        pre >>= 32
-        if v == 1:  # the first run; v - 1 is dropped
-            head = 0
-        elif pre >> 16 & 0xFFFF == v - 1:
-            head = pre + 1
-        else:
-            head = (pre << 16 | v - 1) << 16 | 1
-        if n == 1:
-            child = (head << 16 | s) << 16 | 1 if s else head
-            total += _A_MEMO.get(child) or _A_recurse(child, chains, size)
-        else:
-            lump = s + (n - 1) * v  # T, the lump top of child_0
-            ckey = head << 16 | lump
-            chain = chains.get(ckey)
-            if chain is None:
-                child = ckey << 16 | 1
-                chain = chains[ckey] = [_A_MEMO.get(child) or _A_recurse(child, chains, size)]
-            hv = (head << 16 | v) << 16  # head + (v, 0)
-            for j in range(len(chain), n):  # child_j keeps j copies of v
-                top = lump - j * v
-                if top == v:
-                    child = hv | j + 1
-                elif top:
-                    child = ((hv | j) << 16 | top) << 16 | 1
+def _reachable(wanted):
+    """The keys each level reaches from `wanted` (total length -> keys), as
+    one list per total length; the walk is the bottom-up sweep's."""
+    top = max(wanted, default=0)
+    levels = [[0]] * (top + 1)
+    level = set()
+    for size in range(top, 0, -1):
+        level.update(wanted.get(size, ()))
+        below = set()
+        add = below.add
+        chains = {}  # chain key -> the children added
+        for key in level:
+            s = 0
+            n = key & 0xFFFF
+            v = key >> 16 & 0xFFFF
+            pre = key >> 32
+            while True:
+                u = pre >> 16 & 0xFFFF
+                if v == 1:
+                    head = 0
+                elif u == v - 1:
+                    head = pre + 1
                 else:
-                    child = hv | j
-                chain.append(chain[-1] + (_A_MEMO.get(child) or _A_recurse(child, chains, size)))
-            total += chain[n - 1]
-        s += v * n
-    _A_MEMO[key] = total
-    return total
+                    head = (pre << 16 | v - 1) << 16 | 1
+                if n == 1:
+                    add((head << 16 | s) << 16 | 1 if s else head)
+                else:
+                    lump = s + (n - 1) * v
+                    ckey = head << 16 | lump
+                    done = chains.get(ckey, 0)
+                    if done < n:
+                        if not done:
+                            add(ckey << 16 | 1)
+                            done = 1
+                        chains[ckey] = n
+                        hv = (head << 16 | v) << 16
+                        for j in range(done, n):
+                            top = lump - j * v
+                            if top == v:
+                                add(hv | j + 1)
+                            elif top:
+                                add(((hv | j) << 16 | top) << 16 | 1)
+                            else:
+                                add(hv | j)
+                if not pre:
+                    break
+                s += v * n
+                n = pre & 0xFFFF
+                v = u
+                pre >>= 32
+        levels[size] = list(level)
+        level = below
+    return levels

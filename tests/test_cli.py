@@ -94,9 +94,9 @@ def test_scheme_json(capsys, tmp_path, monkeypatch):
 
 
 def test_exact_context_refuses_to_round():
-    # libmpdec cannot allocate MAX_PREC digits for an inexact quotient, so the
-    # division raises before it could round
-    with localcontext(cli.EXACT), pytest.raises((Inexact, MemoryError)):
+    # the precision is finite, so libmpdec computes the quotient's digits and
+    # traps, where at MAX_PREC it raised MemoryError allocating them
+    with localcontext(cli.EXACT), pytest.raises(Inexact):
         Decimal(1) / 3
 
 
@@ -250,7 +250,7 @@ BAD_INPUTS = [
     (("count", "--r", "2", "--nmax", "-1"), EXIT_ERROR, "--nmax"),
     (("count", "--r", "0", "--nmax", "3", "--method", "brute"), EXIT_ERROR, "--r"),
     (("count", "--r", "2", "--nmax", "-1", "--method", "recurrence"), EXIT_ERROR, "--nmax"),
-    (("count", "--r", "600", "--nmax", "2", "--method", "recurrence"), EXIT_ERROR, "too deep"),
+    (("count", "--r", "600", "--nmax", "110", "--method", "recurrence"), EXIT_ERROR, "16-bit key field"),
     (("scheme", "--r", "-2"), EXIT_ERROR, "--r"),
     (("eliminate", "--r", "0"), EXIT_ERROR, "--r"),
     (("guess", "--r", "0"), EXIT_ERROR, "--r"),
@@ -346,25 +346,33 @@ def test_importing_the_package_and_cli_does_not_load_mpmath():
 
 
 def test_recurrence_depth_is_checked_before_any_term(capsys, monkeypatch, tmp_path):
-    # a limit of 10 letters: n = 6 at r = 2 is too deep, n <= 5 is not
+    # r * nmax = 65,536 overflows a key field at n = nmax alone
     from avoidwords import words
 
-    monkeypatch.setattr(words, "_RECURSION_HEADROOM", sys.getrecursionlimit() - 10)
-    computed = []
+    swept = []
 
-    def spy(multiplicities):
-        computed.append(multiplicities)
-        return words.count_avoiders_recurrence(multiplicities)
+    def spy(wanted):
+        swept.append(sorted(wanted))
+        return reachable(wanted)
 
-    monkeypatch.setattr(cli, "count_avoiders_recurrence", spy)
-    code, out, err = run(capsys, "count", "--r", "2", "--nmax", "8", "--method", "recurrence",
+    reachable = words._reachable
+    monkeypatch.setattr(words, "_reachable", spy)
+    code, out, err = run(capsys, "count", "--r", "2", "--nmax", "32768", "--method", "recurrence",
                          "--cache-dir", str(tmp_path))
     assert code == EXIT_ERROR
     assert out == ""
-    assert "total length 12 is too deep for the recurrence (max 10)" in err
-    assert computed == []
+    assert err == ("error: total length 65536 overflows the 16-bit key field of the "
+                   "recurrence (max 65535)\n")
+    assert swept == []
     code, out, _ = run(capsys, "count", "--r", "2", "--nmax", "5", "--method", "recurrence",
                        "--cache-dir", str(tmp_path))
     assert code == EXIT_OK
     assert out.split() == ["1", "1", "6", "43", "352", "3114"]
-    assert len(computed) == 6
+    assert swept == [[0, 2, 4, 6, 8, 10]]  # one pass serves every n
+
+
+def test_recurrence_reaches_r_nmax_far_past_the_recursion_limit(capsys, tmp_path):
+    code, out, _ = run(capsys, "count", "--r", "1", "--nmax", "820", "--method", "recurrence",
+                       "--cache-dir", str(tmp_path))
+    assert code == EXIT_OK
+    assert [int(t) for t in out.split()] == [math.comb(2 * n, n) // (n + 1) for n in range(821)]

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from avoidwords.polynomials import (
     MultivariatePolynomial as MP,
@@ -132,11 +132,13 @@ def test_resultant_matches_sylvester_determinant(p, q):
 
 @settings(max_examples=20, deadline=None)
 @given(small_polys, small_polys, small_polys)
+@example(Y + ONE, Y + ONE, Y)  # y - w is the constant -1
 def test_resultant_zero_iff_common_factor(w, s, t):
-    # constructed common factor (y - w): resultant must vanish
+    # constructed common factor (y - w): resultant must vanish. When w is y
+    # plus a constant, y - w has no y left and is no common factor in y
     if s.is_zero or t.is_zero:
         return
-    base = Y - w if not (Y - w).is_zero else Y
+    base = Y - w if (Y - w).degree("y") >= 1 else Y
     p = base * s
     q = base * t
     if p.degree("y") < 1 or q.degree("y") < 1:

@@ -15,7 +15,13 @@ from avoidwords.scheme import (
     word_counts,
 )
 from avoidwords.series import evaluate_on_series
-from avoidwords.words import P123, P231, count_avoiders_bruteforce, count_avoiders_recurrence
+from avoidwords.words import (
+    P123,
+    P231,
+    count_avoiders_bruteforce,
+    count_avoiders_recurrence,
+    recurrence_counts,
+)
 from scheme_oracle import solve_series_full, solve_series_strided
 
 
@@ -152,10 +158,15 @@ def test_counts_against_bruteforce_and_recurrence():
             assert seq[n] == count_avoiders_recurrence(vec), (r, n)
 
 
-@pytest.mark.parametrize("r", [5, 6])
+# n up to 20 at r = 5, 6; at r = 7, 8 the largest n whose recurrence pass
+# takes about a second
+RECURRENCE_NMAX = {5: 20, 6: 20, 7: 28, 8: 26}
+
+
+@pytest.mark.parametrize("r", sorted(RECURRENCE_NMAX))
 def test_counts_against_multiset_recurrence(r):
-    seq = word_counts(r, 20)
-    assert seq == [count_avoiders_recurrence((r,) * n) for n in range(21)]
+    nmax = RECURRENCE_NMAX[r]
+    assert word_counts(r, nmax) == recurrence_counts([(r,) * n for n in range(nmax + 1)])
 
 
 def test_pretty_printer_mentions_all_enumerators():

@@ -1,9 +1,9 @@
 import itertools
+import os
 import random
-import re
+import subprocess
 import sys
 import threading
-import tracemalloc
 from math import comb
 
 import pytest
@@ -25,6 +25,7 @@ from avoidwords.words import (
     contains_pattern,
     count_avoiders_bruteforce,
     count_avoiders_recurrence,
+    recurrence_counts,
 )
 
 # the three with linear scans first, so the parametrized ids of the
@@ -248,65 +249,91 @@ def test_recurrence_equals_sorted_key_oracle(vector):
     assert count_avoiders_recurrence(vector) == recurrence_sorted_keys(vector)
 
 
+def test_recurrence_counts_equal_one_call_per_vector():
+    vectors = [(2, 2), (), (3, 1, 2), (2, 2), (0, 4), (1,) * 7, (5, 1, 1)]
+    assert recurrence_counts(vectors) == [count_avoiders_recurrence(v) for v in vectors]
+    assert recurrence_counts(iter(vectors[:3])) == [6, 1, 34]
+    assert recurrence_counts([]) == []
+
+
+def test_recurrence_counts_check_every_vector_before_any_state(monkeypatch):
+    def refuse(wanted):
+        raise AssertionError("a state was visited")
+
+    monkeypatch.setattr(words, "_reachable", refuse)
+    with pytest.raises(ValueError, match="nonnegative"):
+        recurrence_counts([(1, 2), (3, -1)])
+    with pytest.raises(ValueError, match="total length 65536 "):
+        recurrence_counts([(1, 2), (65536,)])
+
+
 # r=3 and r=5 at the nmax of the oracle benchmark's recurrence jobs; r=1, 2
 # and 4 at an nmax of similar cost
 @pytest.mark.parametrize("r, nmax", [(1, 60), (2, 40), (3, 36), (4, 26), (5, 22)])
 def test_recurrence_sequences_equal_sorted_key_oracle(r, nmax):
     vectors = [(r,) * n for n in range(nmax + 1)]
-    assert [count_avoiders_recurrence(v) for v in vectors] == [
-        recurrence_sorted_keys(v) for v in vectors
-    ]
+    assert recurrence_counts(vectors) == [recurrence_sorted_keys(v) for v in vectors]
 
 
-def test_recurrence_reaches_the_stated_depth(monkeypatch):
-    # a cold memo makes the recursion go one level deeper per letter
-    monkeypatch.setattr(words, "_A_MEMO", {})
-    with pytest.raises(ValueError, match="too deep") as info:
-        count_avoiders_recurrence((10**6,))
-    deepest = int(re.search(r"\(max (\d+)\)", str(info.value)).group(1))
-    half = deepest // 2
-    assert count_avoiders_recurrence((deepest,)) == 1
-    assert count_avoiders_recurrence((half, deepest - half)) == comb(deepest, half)
-    for vector in ((deepest + 1,), (half, deepest + 1 - half)):
-        with pytest.raises(ValueError, match=f"total length {deepest + 1} .*max {deepest}"):
+def test_recurrence_reaches_the_stated_depth():
+    # the one limit is the 16-bit key field, 65,535 letters in all: the
+    # levels are swept in loops, so the recursion limit plays no part
+    assert count_avoiders_recurrence((65535,)) == 1
+    assert count_avoiders_recurrence((1, 65534)) == comb(65535, 1)
+    # A(a, b) = C(a + b, a), at a size whose a * b states take well under a
+    # second; (half, 65535 - half) would visit about 2^30
+    assert count_avoiders_recurrence((400, 400)) == comb(800, 400)
+    assert count_avoiders_recurrence((123, 456)) == comb(579, 123)
+    for vector in ((65536,), (1, 65535), (32768, 32768)):
+        with pytest.raises(ValueError, match=r"^total length 65536 .*\(max 65535\)$"):
             count_avoiders_recurrence(vector)
 
 
-def test_recurrence_refuses_totals_beyond_a_packed_field(monkeypatch):
-    # a memo key field holds at most 2^16 - 1, and a lump holds up to the
-    # total length, whatever the recursion limit allows
-    monkeypatch.setattr(words, "_A_MEMO", {})
-    monkeypatch.setattr(sys, "getrecursionlimit", lambda: 10**6)
+def test_recurrence_refuses_totals_beyond_a_packed_field():
+    # a key field holds at most 2^16 - 1, and a lump holds up to the total
+    # length
     with pytest.raises(ValueError, match=r"^total length 70000 .*\(max 65535\)$") as info:
         count_avoiders_recurrence((35_000, 35_000))
     assert "\n" not in str(info.value)
-    assert "memo key field" in str(info.value) and "deep" not in str(info.value)
+    assert "16-bit key field" in str(info.value) and "deep" not in str(info.value)
 
 
-def test_recurrence_memory_budget(monkeypatch):
-    # the oracle benchmark's two recurrence jobs, each from its largest n down
-    # as `count --method recurrence` computes them, from a cold memo: the
-    # per-call chain table must not hold much beside the memo itself. The
-    # traced peak on CPython 3.11 is 9.33 MiB with int memo keys (11.55 MiB
-    # with tuple keys)
-    monkeypatch.setattr(words, "_A_MEMO", {})
-    tracemalloc.start()
-    try:
-        for r, nmax in ((3, 36), (5, 22)):
-            for n in range(nmax, -1, -1):
-                count_avoiders_recurrence((r,) * n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10.25 * 2**20
-    assert len(words._A_MEMO) == 61075
+def _states(r, nmax):
+    wanted = {}
+    for size, key in map(words._packed, [(r,) * n for n in range(nmax + 1)]):
+        wanted.setdefault(size, set()).add(key)
+    return sum(map(len, words._reachable(wanted)))
 
 
-def test_recurrence_threads_get_oracle_values(monkeypatch):
-    # call trees on different vectors share one cold memo, with more threads
-    # than this suite's 2-core hosts have cores; a short switch interval
-    # makes them interleave inside the recursion
-    monkeypatch.setattr(words, "_A_MEMO", {})
+def test_recurrence_memory_budget():
+    # the oracle benchmark's two recurrence jobs, one pass each, in a fresh
+    # interpreter: the high-water mark of its resident set may rise by at
+    # most 4 MiB. It rose by 1.9 MiB on CPython 3.11, and by 10.2 MiB when a
+    # memo kept all 61,075 states the two jobs reach for the life of the
+    # process
+    src = os.path.dirname(os.path.dirname(words.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import resource\n"
+        "from avoidwords.words import recurrence_counts\n"
+        "high = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "before = high()\n"
+        "for r, nmax in ((3, 36), (5, 22)):\n"
+        "    recurrence_counts([(r,) * n for n in range(nmax + 1)])\n"
+        "print(high() - before)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True)
+    assert int(done.stdout) < 4 * 1024  # ru_maxrss is in KiB on Linux
+    # the states each sequence visits, the empty state included
+    assert _states(3, 36) == 44_941
+    assert _states(5, 22) == 33_321
+
+
+def test_recurrence_threads_get_oracle_values():
+    # concurrent calls on different vectors share no state; there are more
+    # threads than this suite's 2-core hosts have cores, and a short switch
+    # interval makes them interleave inside the sweeps
     vectors = [(3,) * 22, (2, 2, 3, 3, 3, 4, 4, 5, 6, 6, 7, 8, 9), (1, 2, 3) * 6]
     barrier = threading.Barrier(len(vectors))
     results = {}
