@@ -46,7 +46,7 @@ from .guessing import (
     guess_algebraic,
     guess_recurrence,
 )
-from .asymptotics import AsymptoticReport, conjecture_check, growth_ratio, fit_constant
+from .asymptotics import conjecture_check, growth_ratio, fit_constant
 from .fixtures import reference_equation, reference_recurrence, load_cached_recurrence
 
 __all__ = [
@@ -71,7 +71,6 @@ __all__ = [
     "LinearRecurrence",
     "guess_recurrence",
     "guess_algebraic",
-    "AsymptoticReport",
     "conjecture_check",
     "growth_ratio",
     "fit_constant",

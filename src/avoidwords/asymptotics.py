@@ -9,7 +9,6 @@ mpmath is imported inside the functions that compute with it, so importing
 this module (and through it the package and the CLI) does not load it.
 """
 
-from dataclasses import dataclass, asdict
 from fractions import Fraction
 
 from .fixtures import load_cached_recurrence
@@ -155,60 +154,6 @@ def fit_first_correction(terms, growth, exponent):
         return _richardson(vals, idx, QUOTIENT_DEPTH)
 
 
-@dataclass
-class AsymptoticReport:
-    r: int
-    nmax: int
-    n_range: tuple  # tail window the extrapolations actually used
-    tolerance: float
-    growth_estimate: float
-    conjectured_growth: int
-    growth_relative_deviation: float
-    passed: bool
-    fitted_constant: float
-    reference_constant: float | None
-    constant_relative_deviation: float | None
-    fitted_exponent: float
-    fitted_first_correction: float
-    reference_first_correction: float | None
-    constant_squared_times_pi: float
-    source: str
-    note: str = (
-        "growth rate and exponent are checks of rigorous structure; the "
-        "leading constant comparisons are conjectural"
-    )
-
-    def to_json(self):
-        return asdict(self)
-
-    def text_lines(self):
-        dev = self.growth_relative_deviation
-        lines = [
-            f"r={self.r}  (terms to n={self.nmax}, tail window "
-            f"{self.n_range[0]}..{self.n_range[1]}, source: {self.source})",
-            f"  growth:    estimated {self.growth_estimate:.10g}   "
-            f"conjectured {self.conjectured_growth}   rel.dev {dev:.3e}   "
-            f"[{'PASS' if self.passed else 'FAIL'} at tol {self.tolerance}]",
-            f"  exponent:  fitted {self.fitted_exponent:+.6f}   expected -1.5",
-            f"  constant:  fitted {self.fitted_constant:.10g}"
-            + (
-                f"   reference {self.reference_constant:.10g}   "
-                f"rel.dev {self.constant_relative_deviation:.3e}"
-                if self.reference_constant is not None
-                else "   (no reference value)"
-            ),
-            f"  1/n term:  fitted {self.fitted_first_correction:+.6f}"
-            + (
-                f"   reference {float(self.reference_first_correction):+.6f}"
-                if self.reference_first_correction is not None
-                else ""
-            ),
-            f"  C^2*pi:    {self.constant_squared_times_pi:.10g}   "
-            "(square of constant times pi, for rational-square inspection)",
-        ]
-        return lines
-
-
 def verified_recurrence(r):
     """The cached recurrence for w_r and the fresh scheme terms that verified it.
 
@@ -249,12 +194,14 @@ def sequence_for(r, nmax):
     return rec.extend(initial, nmax), "recurrence-extension"
 
 
-def conjecture_check(r, nmax=2000, tol=0.01, seq=None):
-    """Growth report for w_r(0..nmax), or for the term list `seq` when given."""
-    if seq is None:
-        seq, source = sequence_for(r, nmax)
-    else:
-        nmax, source = len(seq) - 1, "supplied"
+def conjecture_check(r, nmax=2000, tol=0.01):
+    """Growth report for w_r(0..nmax), as a JSON-ready dict.
+
+    `n_range` is the tail window the extrapolations used, `source` the path
+    that made the terms (see `sequence_for`), and `passed` whether the growth
+    estimate lies within `tol` of (r+1)*2^r, relatively.
+    """
+    seq, source = sequence_for(r, nmax)
     from mpmath import mp, mpf, pi
 
     with mp.workprec(PRECISION_BITS):
@@ -265,33 +212,51 @@ def conjecture_check(r, nmax=2000, tol=0.01, seq=None):
         e = fit_exponent(seq, growth=mpf(target))
         c1 = fit_first_correction(seq, growth=mpf(target), exponent=mpf(-1.5))
         cref = reference_constant(r)
-        cdev = None if cref is None else float(abs(c - cref) / cref)
         c1ref = REFERENCE_FIRST_CORRECTION.get(r)
-        return AsymptoticReport(
-            r=r,
-            nmax=nmax,
-            n_range=(nmax - TAIL_POINTS - RICHARDSON_DEPTH + 1, nmax),
-            tolerance=tol,
-            growth_estimate=float(growth),
-            conjectured_growth=target,
-            growth_relative_deviation=float(dev),
-            passed=bool(dev <= tol),
-            fitted_constant=float(c),
-            reference_constant=None if cref is None else float(cref),
-            constant_relative_deviation=cdev,
-            fitted_exponent=float(e),
-            fitted_first_correction=float(c1),
-            reference_first_correction=(
-                None if c1ref is None else float(c1ref)
-            ),
-            constant_squared_times_pi=float(c * c * pi),
-            source=source,
-        )
+        return {
+            "r": r,
+            "nmax": nmax,
+            "n_range": [nmax - TAIL_POINTS - RICHARDSON_DEPTH + 1, nmax],
+            "tolerance": tol,
+            "growth_estimate": float(growth),
+            "conjectured_growth": target,
+            "growth_relative_deviation": float(dev),
+            "passed": bool(dev <= tol),
+            "fitted_constant": float(c),
+            "reference_constant": None if cref is None else float(cref),
+            "constant_relative_deviation": None if cref is None else float(abs(c - cref) / cref),
+            "fitted_exponent": float(e),
+            "fitted_first_correction": float(c1),
+            "reference_first_correction": None if c1ref is None else float(c1ref),
+            "constant_squared_times_pi": float(c * c * pi),
+            "source": source,
+            "note": "growth rate and exponent are checks of rigorous structure; the "
+                    "leading constant comparisons are conjectural",
+        }
 
 
-def report_table(reports):
-    lines = []
-    for rep in reports:
-        lines.extend(rep.text_lines())
-        lines.append("")
-    return "\n".join(lines).rstrip()
+def report_text(report):
+    """The text form of a `conjecture_check` report."""
+    n_lo, n_hi = report["n_range"]
+    cref = report["reference_constant"]
+    c1ref = report["reference_first_correction"]
+    lines = [
+        f"r={report['r']}  (terms to n={report['nmax']}, tail window "
+        f"{n_lo}..{n_hi}, source: {report['source']})",
+        f"  growth:    estimated {report['growth_estimate']:.10g}   "
+        f"conjectured {report['conjectured_growth']}   "
+        f"rel.dev {report['growth_relative_deviation']:.3e}   "
+        f"[{'PASS' if report['passed'] else 'FAIL'} at tol {report['tolerance']}]",
+        f"  exponent:  fitted {report['fitted_exponent']:+.6f}   expected -1.5",
+        f"  constant:  fitted {report['fitted_constant']:.10g}"
+        + (
+            f"   reference {cref:.10g}   rel.dev {report['constant_relative_deviation']:.3e}"
+            if cref is not None
+            else "   (no reference value)"
+        ),
+        f"  1/n term:  fitted {report['fitted_first_correction']:+.6f}"
+        + (f"   reference {c1ref:+.6f}" if c1ref is not None else ""),
+        f"  C^2*pi:    {report['constant_squared_times_pi']:.10g}   "
+        "(square of constant times pi, for rational-square inspection)",
+    ]
+    return "\n".join(lines)

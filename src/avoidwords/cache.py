@@ -34,9 +34,8 @@ def payload_hash(payload):
 
 
 class Cache:
-    def __init__(self, directory=None, enabled=True):
+    def __init__(self, directory=None):
         self.directory = Path(directory) if directory else default_cache_dir()
-        self.enabled = enabled
 
     def _key_path(self, kind, r, parameters):
         digest = hashlib.sha256(
@@ -58,8 +57,6 @@ class Cache:
 
     def load(self, kind, r, parameters):
         """The cached payload, or None on any kind of miss."""
-        if not self.enabled:
-            return None
         path = self._key_path(kind, r, parameters)
         if not path.is_file():
             return None
@@ -77,9 +74,7 @@ class Cache:
         return data["payload"]
 
     def store(self, kind, r, parameters, payload):
-        """Write the entry document; returns it as a dict, or None when disabled."""
-        if not self.enabled:
-            return None
+        """Write the entry document; returns it as a dict."""
         entry = {
             "kind": kind,  # sequence | equation | report
             "r": r,

@@ -9,8 +9,12 @@ Exit codes: 0 success and all requested verifications passed; 1 generic
 error, such as an out-of-range argument; 2 brute-force cap exceeded; 3
 timeout; 4 insufficient terms or no verified recurrence available; 5 a
 verification, reference match or exact arithmetic check failed. A usage
-error exits 1; it, like an exception from a run, ends in one `error:` line
-on stderr, not a usage block or a traceback.
+error exits 1, and so does running out of memory; each, like an exception
+from a run, ends in one `error:` line on stderr, not a usage block or a
+traceback.
+
+Each subcommand builds its result as JSON-ready data for one emitter,
+`_emit`; every cached artifact goes through `_cached`.
 """
 
 import argparse
@@ -32,13 +36,7 @@ from decimal import (
 )
 
 from . import __version__
-from .asymptotics import (
-    AsymptoticReport,
-    TooFewTermsError,
-    conjecture_check,
-    report_table,
-    verified_recurrence,
-)
+from .asymptotics import TooFewTermsError, conjecture_check, report_text, verified_recurrence
 from .cache import Cache
 from .elimination import (
     DEFAULT_TIMEOUT,
@@ -84,7 +82,7 @@ EXIT_CODES = (
     ((InsufficientTermsError, TooFewTermsError, InsufficientSeriesError), EXIT_INSUFFICIENT),
     (EmptyEliminationError, EXIT_ERROR),
     (ArithmeticError, EXIT_VERIFICATION),
-    ((ValueError, OSError), EXIT_ERROR),
+    ((ValueError, OSError, MemoryError), EXIT_ERROR),
 )
 
 # `count --method linear-rec` extends its recurrence in decimal: libmpdec
@@ -100,7 +98,11 @@ EXACT = Context(
 )
 
 
-def _emit_json(command, parameters, result):
+def _emit(args, command, parameters, result, text):
+    """Print the JSON document of `result` under `--format json`, else `text`."""
+    if args.format != "json":
+        print(text)
+        return
     doc = {
         "command": command,
         "parameters": parameters,
@@ -111,18 +113,26 @@ def _emit_json(command, parameters, result):
     print(json.dumps(doc, indent=1, sort_keys=True))
 
 
-def _counts_json(r, terms):
-    return {"r": r, "terms": [str(t) for t in terms]}
+def _cached(args, kind, parameters, compute):
+    """The JSON payload `compute()` returns for `kind` at `--r`: read from the
+    cache, or computed and stored there; under `--no-cache` only computed."""
+    if args.no_cache:
+        return compute()
+    cache = Cache(args.cache_dir)
+    payload = cache.load(kind, args.r, parameters)
+    if payload is None:
+        payload = compute()
+        cache.store(kind, args.r, parameters, payload)
+    return payload
 
 
-def _counts_via(method, r, nmax, cap, cache):
+def _counts_via(args):
+    """w_r(0..nmax) by `--method`: ints or decimals, or decimal strings from
+    the scheme's cached sequence."""
+    method, r, nmax, cap = args.method, args.r, args.nmax, args.cap
     if method == "scheme":
-        cached = cache.load("sequence", r, {"nmax": nmax, "method": "scheme"})
-        if cached is not None:
-            return [int(t) for t in cached["terms"]]
-        terms = word_counts(r, nmax)
-        cache.store("sequence", r, {"nmax": nmax, "method": "scheme"}, _counts_json(r, terms))
-        return terms
+        return _cached(args, "sequence", {"nmax": nmax, "method": "scheme"}, lambda: {
+            "r": r, "terms": [str(t) for t in word_counts(r, nmax)]})["terms"]
     if method == "brute":
         if r * nmax > cap:
             raise BruteForceCapError(f"r*nmax = {r * nmax} exceeds cap {cap}")
@@ -143,73 +153,45 @@ def _counts_via(method, r, nmax, cap, cache):
 
 
 def cmd_count(args):
-    cache = Cache(args.cache_dir, enabled=not args.no_cache)
-    terms = _counts_via(args.method, args.r, args.nmax, args.cap, cache)
-    if args.format == "text":
-        print(" ".join(str(t) for t in terms))
-    elif args.format == "json":
-        _emit_json(
-            "count",
-            {"r": args.r, "nmax": args.nmax, "method": args.method},
-            _counts_json(args.r, terms),
-        )
-    elif args.format == "bfile":
+    terms = _counts_via(args)
+    if args.format == "bfile":
+        # line by line: a b-file of long terms runs to megabytes
         print(f"# w_r(n) for r={args.r}; offset 0: w_r(0)=1")
         for n, t in enumerate(terms):
             print(f"{n} {t}")
+        return EXIT_OK
+    terms = [str(t) for t in terms]
+    _emit(args, "count", {"r": args.r, "nmax": args.nmax, "method": args.method},
+          {"r": args.r, "terms": terms}, " ".join(terms))
     return EXIT_OK
 
 
 def cmd_scheme(args):
     scheme = build_scheme(args.r)
-    if args.format == "json":
-        _emit_json("scheme", {"r": args.r}, scheme.to_json())
-    else:
-        print(scheme.pretty())
+    _emit(args, "scheme", {"r": args.r}, scheme.to_json(), scheme.pretty())
     return EXIT_OK
 
 
 def cmd_eliminate(args):
-    cache = Cache(args.cache_dir, enabled=not args.no_cache)
     timeout = None if math.isinf(args.timeout) else args.timeout
-    params = {"backend": args.backend, "timeout": "none" if timeout is None else timeout}
-    cached = cache.load("equation", args.r, {"backend": args.backend})
-    if cached is not None:
-        equation = MultivariatePolynomial.from_json(cached)
-    else:
-        raw = eliminate(build_scheme(args.r), backend=args.backend, timeout=timeout)
-        equation = compress_exponents(raw, args.r)
-        cache.store("equation", args.r, {"backend": args.backend}, equation.to_json())
-
-    verdict = None
-    exit_code = EXIT_OK
-    if args.r <= 4:
-        reference = reference_equation(args.r)
-        verdict = match_equation(equation, reference).status
-        if verdict == "mismatch":
-            exit_code = EXIT_VERIFICATION
+    payload = _cached(args, "equation", {"backend": args.backend}, lambda: compress_exponents(
+        eliminate(build_scheme(args.r), backend=args.backend, timeout=timeout), args.r).to_json())
+    equation = MultivariatePolynomial.from_json(payload)
+    verdict = match_equation(equation, reference_equation(args.r)) if args.r <= 4 else None
     cutoff = max(50, 2 * (equation.degree("x") + equation.degree("F")) + 1)
     annihilates = verify_annihilation(equation, word_counts(args.r, cutoff))
-    if not annihilates:
-        exit_code = EXIT_VERIFICATION
-
-    if args.format == "json":
-        _emit_json(
-            "eliminate",
-            {"r": args.r, **params},
-            {
-                "equation": equation.to_json(),
-                "reference_match": verdict,
-                "annihilates_series": annihilates,
-                "series_cutoff": cutoff,
-            },
-        )
-    else:
-        print(f"P_{args.r}(x, F) = {equation.to_text(f_major)}")
-        if verdict is not None:
-            print(f"reference match: {verdict}")
-        print(f"annihilates series mod x^{cutoff}: {annihilates}")
-    return exit_code
+    lines = [f"P_{args.r}(x, F) = {equation.to_text(f_major)}"]
+    if verdict is not None:
+        lines.append(f"reference match: {verdict}")
+    lines.append(f"annihilates series mod x^{cutoff}: {annihilates}")
+    _emit(
+        args, "eliminate",
+        {"r": args.r, "backend": args.backend, "timeout": "none" if timeout is None else timeout},
+        {"equation": payload, "reference_match": verdict, "annihilates_series": annihilates,
+         "series_cutoff": cutoff},
+        "\n".join(lines),
+    )
+    return EXIT_OK if annihilates and verdict != "mismatch" else EXIT_VERIFICATION
 
 
 def cmd_guess(args):
@@ -219,56 +201,34 @@ def cmd_guess(args):
         if poly is None:
             print("no algebraic equation found within the bounds", file=sys.stderr)
             return EXIT_INSUFFICIENT
-        verdict = None
-        if args.r <= 4:
-            verdict = match_equation(poly, reference_equation(args.r)).status
-        if args.format == "json":
-            _emit_json(
-                "guess-algebraic",
-                {"r": args.r, "max_deg_x": args.max_deg_x, "max_deg_f": args.max_deg_f},
-                {"equation": poly.to_json(), "reference_match": verdict},
-            )
-        else:
-            print(poly.to_text(f_major))
-            if verdict is not None:
-                print(f"reference match: {verdict}")
+        verdict = match_equation(poly, reference_equation(args.r)) if args.r <= 4 else None
+        text = poly.to_text(f_major)
+        _emit(args, "guess-algebraic",
+              {"r": args.r, "max_deg_x": args.max_deg_x, "max_deg_f": args.max_deg_f},
+              {"equation": poly.to_json(), "reference_match": verdict},
+              text if verdict is None else f"{text}\nreference match: {verdict}")
         return EXIT_VERIFICATION if verdict == "mismatch" else EXIT_OK
 
     nterms = args.terms or (args.max_order + 1) * (args.max_degree + 1) + args.max_order + 14
-    params = {"max_order": args.max_order, "max_degree": args.max_degree, "terms": nterms}
     # not cached: the guess costs little more than the terms that would
     # re-verify a cached recurrence
     rec = guess_recurrence(word_counts(args.r, nterms - 1), args.max_order, args.max_degree)
     if rec is None:
         print("no recurrence found within the bounds", file=sys.stderr)
         return EXIT_INSUFFICIENT
-    if args.format == "json":
-        _emit_json(
-            "guess",
-            {"r": args.r, **params},
-            {"recurrence": rec.to_json(), "status": "empirically-verified"},
-        )
-    else:
-        print(rec)
-        print("status: empirically-verified")
+    _emit(args, "guess",
+          {"r": args.r, "max_order": args.max_order, "max_degree": args.max_degree, "terms": nterms},
+          {"recurrence": rec.to_json(), "status": "empirically-verified"},
+          f"{rec}\nstatus: empirically-verified")
     return EXIT_OK
 
 
 def cmd_asympt(args):
-    cache = Cache(args.cache_dir, enabled=not args.no_cache)
     params = {"nmax": args.nmax, "tol": args.tol}
-    cached = cache.load("report", args.r, params)
-    if cached is not None:
-        cached["n_range"] = tuple(cached["n_range"])
-        report = AsymptoticReport(**cached)
-    else:
-        report = conjecture_check(args.r, nmax=args.nmax, tol=args.tol)
-        cache.store("report", args.r, params, report.to_json())
-    if args.format == "json":
-        _emit_json("asympt", {"r": args.r, **params}, report.to_json())
-    else:
-        print(report_table([report]))
-    return EXIT_OK if report.passed else EXIT_VERIFICATION
+    report = _cached(args, "report", params,
+                     lambda: conjecture_check(args.r, nmax=args.nmax, tol=args.tol))
+    _emit(args, "asympt", {"r": args.r, **params}, report, report_text(report))
+    return EXIT_OK if report["passed"] else EXIT_VERIFICATION
 
 
 class _Parser(argparse.ArgumentParser):
@@ -357,8 +317,9 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         _check_ranges(args)
         return args.func(args)
-    except (ValueError, ArithmeticError, EliminationTimeout, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, EliminationTimeout, OSError, MemoryError) as exc:
+        # a bare MemoryError has an empty message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 

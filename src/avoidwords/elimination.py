@@ -9,7 +9,6 @@ MultivariatePolynomial over ("x", "F") in the form `canonical_equation` gives.
 """
 
 import signal
-from dataclasses import dataclass
 
 from .groebner import block_elimination_key, groebner_basis
 from .polynomials import MultivariatePolynomial, NonDivisibleError, exact_divide, resultant
@@ -165,23 +164,16 @@ def verify_annihilation(poly, f):
     return not any(evaluate_on_series(poly, {"F": f}))
 
 
-@dataclass
-class MatchResult:
-    status: str  # "equal" | "proper-multiple" | "mismatch"
-    quotient: MultivariatePolynomial | None = None
-
-    def __bool__(self):
-        return self.status in ("equal", "proper-multiple")
-
-
 def match_equation(ours, reference):
-    """Compare canonical forms; a proper multiple of the reference also passes."""
+    """The verdict of comparing canonical forms: "equal", "proper-multiple"
+    (a polynomial multiple of the reference, which also passes) or
+    "mismatch"."""
     a = canonical_equation(ours)
     b = canonical_equation(reference)
     if a == b:
-        return MatchResult("equal")
+        return "equal"
     try:
         q = exact_divide(a, b)
     except NonDivisibleError:
-        return MatchResult("mismatch")
-    return MatchResult("proper-multiple", q) if q else MatchResult("mismatch")
+        return "mismatch"
+    return "proper-multiple" if q else "mismatch"

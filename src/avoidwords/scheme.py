@@ -62,14 +62,12 @@ class AlgebraicScheme:
     equations: dict  # (i, j) -> MultivariatePolynomial
 
     def pretty(self):
+        names = {variable_name((a, b)): f"g^({a},{b})" for a, b in scheme_pairs(self.r)}
+        display = tuple(names.get(v, v) for v in self.variables)
         lines = []
         for (i, j), poly in sorted(self.equations.items()):
-            g = MultivariatePolynomial.variable(self.variables, variable_name((i, j)))
-            rhs = poly + g
-            text = str(rhs)
-            for (a, b) in scheme_pairs(self.r):
-                text = text.replace(variable_name((a, b)), f"g^({a},{b})")
-            lines.append(f"g^({i},{j}) = {text}")
+            rhs = poly + MultivariatePolynomial.variable(self.variables, variable_name((i, j)))
+            lines.append(f"g^({i},{j}) = {MultivariatePolynomial(display, rhs.terms)}")
         return "\n".join(lines)
 
     def to_json(self):

@@ -88,7 +88,7 @@ def test_criterion_3_equation_r2():
         raw = eliminate(build_scheme(2), backend="buchberger", timeout=10)
         ours = compress_exponents(raw, 2)
         ref = reference_equation(2)
-        assert match_equation(ours, ref).status in ("equal", "proper-multiple")
+        assert match_equation(ours, ref) in ("equal", "proper-multiple")
         series = word_counts(2, 50)
         assert verify_annihilation(ref, series)
 
@@ -98,7 +98,7 @@ def test_criterion_4_equation_r3():
         raw = eliminate(build_scheme(3), backend="resultants", timeout=115)
         ours = compress_exponents(raw, 3)
         ref = reference_equation(3)
-        assert match_equation(ours, ref).status in ("equal", "proper-multiple")
+        assert match_equation(ours, ref) in ("equal", "proper-multiple")
         series = word_counts(3, 60)
         assert verify_annihilation(ref, series)
         assert verify_annihilation(ours, series)
@@ -118,7 +118,7 @@ def test_criterion_5_equation_r4_verification():
 def test_criterion_5_full_r4_elimination_opt_in():
     raw = eliminate(build_scheme(4), backend="resultants", timeout=None)
     ours = compress_exponents(raw, 4)
-    assert match_equation(ours, reference_equation(4)).status in ("equal", "proper-multiple")
+    assert match_equation(ours, reference_equation(4)) in ("equal", "proper-multiple")
 
 
 def test_criterion_6_recurrence_reproduction():
@@ -139,13 +139,13 @@ def test_criterion_7_conjecture_check():
         targets = {1: 4, 2: 12, 3: 32, 4: 80, 5: 192}
         for r, target in targets.items():
             rep = conjecture_check(r, nmax=2000, tol=0.01)
-            assert rep.passed, (r, rep.growth_relative_deviation)
-            assert rep.conjectured_growth == target
-            assert abs(rep.fitted_exponent + 1.5) < 0.1, r
-        c1 = conjecture_check(1, nmax=2000).fitted_constant
+            assert rep["passed"], (r, rep["growth_relative_deviation"])
+            assert rep["conjectured_growth"] == target
+            assert abs(rep["fitted_exponent"] + 1.5) < 0.1, r
+        c1 = conjecture_check(1, nmax=2000)["fitted_constant"]
         ref1 = float(reference_constant(1))
         assert abs(c1 - ref1) / ref1 < 0.005
-        c2 = conjecture_check(2, nmax=2000).fitted_constant
+        c2 = conjecture_check(2, nmax=2000)["fitted_constant"]
         ref2 = float(reference_constant(2))
         assert abs(c2 - ref2) / ref2 < 0.02
 
@@ -197,4 +197,4 @@ def test_criterion_9_algebraic_crosscheck():
             poly = guess_algebraic(series, dx, df)
             assert poly is not None, r
             allowed = ("equal",) if r == 4 else ("equal", "proper-multiple")
-            assert match_equation(poly, reference_equation(r)).status in allowed, r
+            assert match_equation(poly, reference_equation(r)) in allowed, r

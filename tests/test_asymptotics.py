@@ -1,3 +1,5 @@
+import json
+
 import mpmath
 from mpmath import mp, mpf
 
@@ -8,7 +10,7 @@ from avoidwords.asymptotics import (
     fit_exponent,
     growth_ratio,
     reference_constant,
-    report_table,
+    report_text,
     sequence_for,
 )
 import pytest
@@ -55,16 +57,16 @@ def test_catalan_asymptotics():
 
 def test_full_report_r2():
     rep = conjecture_check(2, nmax=1000, tol=0.001)
-    assert rep.passed
-    assert abs(rep.fitted_constant - rep.reference_constant) / rep.reference_constant < 0.02
-    assert abs(rep.fitted_first_correction - float(rep.reference_first_correction)) < 0.05
-    assert "conjectural" in rep.note
+    assert rep["passed"]
+    assert abs(rep["fitted_constant"] - rep["reference_constant"]) / rep["reference_constant"] < 0.02
+    assert abs(rep["fitted_first_correction"] - rep["reference_first_correction"]) < 0.05
+    assert "conjectural" in rep["note"]
 
 
 def test_first_correction_r1_within_5_percent():
     rep = conjecture_check(1, nmax=2000, tol=0.01)
     ref = -9 / 8
-    assert abs(rep.fitted_first_correction - ref) / abs(ref) < 0.05
+    assert abs(rep["fitted_first_correction"] - ref) / abs(ref) < 0.05
 
 
 def test_deviation_improves_with_more_terms():
@@ -72,15 +74,16 @@ def test_deviation_improves_with_more_terms():
     for r in (1, 3):
         short = conjecture_check(r, nmax=500, tol=0.01)
         long = conjecture_check(r, nmax=2000, tol=0.01)
-        assert long.growth_relative_deviation <= short.growth_relative_deviation
+        assert long["growth_relative_deviation"] <= short["growth_relative_deviation"]
 
 
 def test_report_serialization_and_table():
     rep = conjecture_check(1, nmax=500, tol=0.01)
-    data = rep.to_json()
-    assert data["r"] == 1 and data["passed"] is True
-    table = report_table([rep])
-    assert "growth" in table and "PASS" in table
+    assert json.loads(json.dumps(rep)) == rep
+    assert rep["r"] == 1 and rep["passed"] is True
+    assert rep["n_range"] == [490, 500]
+    text = report_text(rep)
+    assert "growth" in text and "PASS" in text
 
 
 def test_sequence_for_falls_back_to_scheme_without_recurrence():
@@ -93,12 +96,10 @@ def test_sequence_for_falls_back_to_scheme_without_recurrence():
 
 def test_report_source_is_the_path_that_ran():
     # r=6 has no recurrence, however many terms; r=2 at nmax 55 is extended
-    assert conjecture_check(6, nmax=80).source == "scheme-series"
-    assert conjecture_check(2, nmax=55).source == "recurrence-extension"
+    assert conjecture_check(6, nmax=80)["source"] == "scheme-series"
+    assert conjecture_check(2, nmax=55)["source"] == "recurrence-extension"
     # within the re-verification span the scheme terms are returned as they are
     assert sequence_for(2, 20)[1] == "scheme-series"
-    supplied = sequence_for(1, 100)[0]
-    assert conjecture_check(1, seq=supplied).source == "supplied"
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])

@@ -49,12 +49,6 @@ def test_version_bump_invalidates(tmp_path):
     assert cache.load("report", 1, {}) is None
 
 
-def test_disabled_cache_never_hits(tmp_path):
-    cache = Cache(tmp_path, enabled=False)
-    cache.store("sequence", 1, {"nmax": 1}, {"terms": ["1", "1"]})
-    assert cache.load("sequence", 1, {"nmax": 1}) is None
-
-
 def test_entry_hash_consistency(tmp_path):
     entry = Cache(tmp_path).store("sequence", 2, {"nmax": 3}, {"a": 1})
     assert entry["content_hash"] == payload_hash({"a": 1})

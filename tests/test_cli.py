@@ -2,6 +2,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ import pytest
 
 import avoidwords
 from avoidwords import cli
-from avoidwords.asymptotics import sequence_for
+from avoidwords.asymptotics import report_text, sequence_for
 from avoidwords.cache import Cache
 from avoidwords.cli import (
     EXIT_CAP,
@@ -22,12 +23,14 @@ from avoidwords.cli import (
     EXIT_VERIFICATION,
     main,
 )
+from avoidwords.elimination import f_major
 from avoidwords.fixtures import reference_recurrence
 from avoidwords.guessing import (
     LinearRecurrence,
     NonIntegralExtensionError,
     SingularRecurrenceError,
 )
+from avoidwords.polynomials import MultivariatePolynomial
 
 
 def run(capsys, *argv):
@@ -167,17 +170,106 @@ def test_eliminate_json_deterministic_modulo_timestamp(capsys, tmp_path):
     assert docs[0] == docs[1]
 
 
-def test_eliminate_cache_hit_equals_cold(capsys, tmp_path):
-    _, cold, _ = run(
-        capsys, "eliminate", "--r", "2", "--cache-dir", str(tmp_path)
-    )
-    _, warm, _ = run(
-        capsys, "eliminate", "--r", "2", "--cache-dir", str(tmp_path)
-    )
-    _, nocache, _ = run(
-        capsys, "eliminate", "--r", "2", "--no-cache", "--cache-dir", str(tmp_path)
-    )
-    assert cold == warm == nocache
+# a cached subcommand and the function whose result it caches
+CACHED_RUNS = [
+    (("count", "--r", "3", "--nmax", "12", "--method", "scheme"), "word_counts"),
+    (("eliminate", "--r", "2"), "eliminate"),
+    (("asympt", "--r", "3", "--nmax", "100"), "conjecture_check"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv,compute", CACHED_RUNS, ids=[a[0] for a, _ in CACHED_RUNS])
+def test_cache_hit_equals_cold(capsys, tmp_path, monkeypatch, argv, compute, fmt):
+    def payload(out):
+        if fmt == "text":
+            return out
+        doc = json.loads(out)
+        doc.pop("timestamp")
+        return doc
+
+    def recompute(*args, **kwargs):
+        raise AssertionError(f"{compute} ran on a warm cache")
+
+    cache_dir = tmp_path / "cache"
+    argv = (*argv, "--format", fmt, "--cache-dir", str(cache_dir))
+    code, nocache, _ = run(capsys, *argv, "--no-cache")
+    assert code == EXIT_OK
+    assert list(cache_dir.glob("*")) == []
+    code, cold, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert len(list(cache_dir.glob("*.json"))) == 1
+    monkeypatch.setattr(cli, compute, recompute)
+    code, warm, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert payload(cold) == payload(warm) == payload(nocache)
+
+
+def _check_count(text, result):
+    assert text == [" ".join(result["terms"])]
+    assert result["terms"][:3] == ["1", "1", "70"]  # w_4(2) = C(8, 4)
+
+
+def _check_scheme(text, result):
+    # the text names g^(i,j) where the JSON names Gi_j, and prints the right
+    # side, where the JSON stores right side - Gi_j
+    assert len(text) == len(result["equations"])
+    for line, (key, equation) in zip(text, result["equations"].items()):
+        i, j = key.split(",")
+        poly = MultivariatePolynomial.from_json(equation)
+        rhs = poly + MultivariatePolynomial.variable(poly.variables, f"G{i}_{j}")
+        assert line == f"g^({i},{j}) = " + re.sub(r"G(\d+)_(\d+)", r"g^(\1,\2)", str(rhs))
+
+
+def _check_eliminate(text, result):
+    equation = MultivariatePolynomial.from_json(result["equation"])
+    assert text == [
+        f"P_2(x, F) = {equation.to_text(f_major)}",
+        f"reference match: {result['reference_match']}",
+        f"annihilates series mod x^{result['series_cutoff']}: {result['annihilates_series']}",
+    ]
+    assert result["reference_match"] == "equal" and result["annihilates_series"] is True
+
+
+def _check_guess(text, result):
+    rec = LinearRecurrence.from_json(result["recurrence"])
+    assert text == [str(rec), f"status: {result['status']}"]
+    assert rec.coeffs == reference_recurrence(2).coeffs
+
+
+def _check_guess_algebraic(text, result):
+    equation = MultivariatePolynomial.from_json(result["equation"])
+    assert text == [equation.to_text(f_major), f"reference match: {result['reference_match']}"]
+    assert result["reference_match"] == "equal"
+
+
+def _check_asympt(text, result):
+    assert text == report_text(result).splitlines()
+    assert f"estimated {result['growth_estimate']:.10g}" in text[1]
+    assert f"conjectured {result['conjectured_growth']} " in text[1]
+    assert ("[PASS" if result["passed"] else "[FAIL") in text[1]
+    assert result["passed"] is True
+
+
+TEXT_AND_JSON = [
+    (("count", "--r", "4", "--nmax", "8", "--no-cache"), _check_count),
+    (("scheme", "--r", "3"), _check_scheme),
+    (("eliminate", "--r", "2", "--no-cache"), _check_eliminate),
+    (("guess", "--r", "2", "--max-order", "2", "--max-degree", "3"), _check_guess),
+    (("guess", "--r", "2", "--algebraic", "--max-deg-x", "2", "--max-deg-f", "4"),
+     _check_guess_algebraic),
+    (("asympt", "--r", "3", "--nmax", "100", "--no-cache"), _check_asympt),
+]
+
+
+@pytest.mark.parametrize("argv,check", TEXT_AND_JSON, ids=[c.__name__[7:] for _, c in TEXT_AND_JSON])
+def test_text_and_json_carry_the_same_result(capsys, tmp_path, monkeypatch, argv, check):
+    monkeypatch.setenv("AVOIDWORDS_CACHE_DIR", str(tmp_path))
+    code, text, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    check(text.splitlines(), json.loads(out)["result"])
 
 
 @pytest.mark.parametrize("budget", ["inf", "1e300"])
@@ -318,6 +410,18 @@ def test_failed_recurrence_reverification_exits_5(capsys, tmp_path, monkeypatch)
     )
     assert (code, out) == (EXIT_VERIFICATION, "")
     assert err.startswith("error: cached recurrence for r=3 fails")
+
+
+def test_out_of_memory_exits_1_with_one_line(capsys, tmp_path, monkeypatch):
+    # the level pass can be asked for more states than memory holds
+    def exhaust(vectors):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "recurrence_counts", exhaust)
+    code, out, err = run(capsys, "count", "--r", "1", "--nmax", "5", "--method", "recurrence",
+                         "--cache-dir", str(tmp_path))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: out of memory\n"
 
 
 def test_unusable_cache_directory_exits_1(capsys, tmp_path):

@@ -35,7 +35,7 @@ def test_r1_elimination_is_the_defining_equation():
 def test_r2_equation_reproduced(backend):
     q = eliminate(build_scheme(2), backend)
     p2 = compress_exponents(q, 2)
-    assert match_equation(p2, reference_equation(2)).status in ("equal", "proper-multiple")
+    assert match_equation(p2, reference_equation(2)) in ("equal", "proper-multiple")
 
 
 def test_backend_agreement_r1_r2():
@@ -44,8 +44,8 @@ def test_backend_agreement_r1_r2():
         a = compress_exponents(eliminate(scheme, "buchberger"), r)
         b = compress_exponents(eliminate(scheme, "resultants"), r)
         ref = reference_equation(r)
-        assert match_equation(a, ref)
-        assert match_equation(b, ref)
+        assert match_equation(a, ref) in ("equal", "proper-multiple")
+        assert match_equation(b, ref) in ("equal", "proper-multiple")
 
 
 def test_r2_buchberger_output_even_in_x():
@@ -58,8 +58,7 @@ def test_r3_resultants_within_budget():
     scheme = build_scheme(3)
     q = eliminate(scheme, "resultants", timeout=120)
     p3 = compress_exponents(q, 3)
-    m = match_equation(p3, reference_equation(3))
-    assert m.status in ("equal", "proper-multiple")
+    assert match_equation(p3, reference_equation(3)) in ("equal", "proper-multiple")
     series = word_counts(3, 60)
     assert verify_annihilation(p3, series)
 
@@ -109,8 +108,8 @@ def test_canonical_sign_follows_the_f_major_lead():
     p = compress_exponents(MP(("x", "G0_0"), {(2, 1): 1, (1, 2): -3}), 1)
     assert p == want and p.to_text(f_major) == "3*x*F^2 - x^2*F"
     assert compress_exponents(MP(("x", "G0_0"), {(4, 1): -2, (2, 2): 6}), 2) == want
-    assert match_equation(lex_form, want).status == "equal"
-    assert match_equation(want, lex_form).status == "equal"
+    assert match_equation(lex_form, want) == "equal"
+    assert match_equation(want, lex_form) == "equal"
 
 
 def test_compress_rejects_mixed_exponents():
@@ -149,19 +148,17 @@ def test_two_cutoffs_never_flip_true_to_false():
 
 def test_match_identical():
     p = reference_equation(2)
-    assert match_equation(p, p).status == "equal"
+    assert match_equation(p, p) == "equal"
 
 
 def test_match_proper_multiple():
     ref = reference_equation(1)
     cofactor = MP(("x", "F"), {(1, 1): 1, (0, 0): 1})  # x*F + 1
-    m = match_equation(ref * cofactor, ref)
-    assert m.status == "proper-multiple"
-    assert m.quotient == cofactor
+    assert match_equation(ref * cofactor, ref) == "proper-multiple"
 
 
 def test_match_mismatch():
-    assert match_equation(reference_equation(1), reference_equation(2)).status == "mismatch"
+    assert match_equation(reference_equation(1), reference_equation(2)) == "mismatch"
 
 
 # -------- the resultant chain's steps --------

@@ -199,7 +199,7 @@ def test_geometric_series_equation():
 def test_r2_equation_recovered_from_series():
     series = word_counts(2, 40)
     p = guess_algebraic(series, 2, 4)
-    assert match_equation(p, reference_equation(2))
+    assert match_equation(p, reference_equation(2)) in ("equal", "proper-multiple")
 
 
 def test_algebraic_insufficient_terms():

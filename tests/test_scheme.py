@@ -1,3 +1,4 @@
+import re
 import time
 from fractions import Fraction
 
@@ -173,6 +174,20 @@ def test_pretty_printer_mentions_all_enumerators():
     text = build_scheme(2).pretty()
     for frag in ("g^(0,0)", "g^(0,1)", "g^(1,1)"):
         assert frag in text
+
+
+def test_pretty_printer_names_survive_two_digit_indices():
+    # from r = 11 on, G0_1 is a prefix of G0_10; each name must print whole
+    scheme = build_scheme(11)
+    lines = scheme.pretty().splitlines()
+    assert len(lines) == 66
+    for line, ((i, j), poly) in zip(lines, sorted(scheme.equations.items())):
+        head, rhs = line.split(" = ")
+        assert head == f"g^({i},{j})"
+        shown = {f"G{a}_{b}" for a, b in re.findall(r"g\^\((\d+),(\d+)\)(?=[*^ ]|$)", rhs)}
+        assert not re.search(r"\)\d", rhs)
+        rhs_poly = poly + MP.variable(scheme.variables, f"G{i}_{j}")
+        assert shown == {v for v in scheme.variables if v != "x" and rhs_poly.degree(v) > 0}
 
 
 def test_count_sequence_starts_one_one_and_stays_positive():
