@@ -174,6 +174,8 @@ def cmd_scheme(args):
 
 def cmd_eliminate(args):
     timeout = None if math.isinf(args.timeout) else args.timeout
+    if timeout == 0:  # before the cache, so that a hit exits 3 as well
+        raise EliminationTimeout(f"{args.backend} elimination exceeded its time budget of {timeout} s")
     payload = _cached(args, "equation", {"backend": args.backend}, lambda: compress_exponents(
         eliminate(build_scheme(args.r), backend=args.backend, timeout=timeout), args.r).to_json())
     equation = MultivariatePolynomial.from_json(payload)

@@ -8,6 +8,10 @@ length-3 patterns under reversal and complement, {123, 321} and
 is the combinatorial heart of the equality between the two classes' counts.
 """
 
+from functools import partial
+from io import BytesIO
+from itertools import repeat
+
 P123 = (1, 2, 3)
 P132 = (1, 3, 2)
 P213 = (2, 1, 3)
@@ -268,11 +272,14 @@ def recurrence_counts(vectors):
 
     Each child of a state lists one letter less than the state, so the
     states fall into levels by total length. A top-down sweep collects the
-    states that each level reaches from the vectors; a bottom-up sweep then
-    computes each level from the one below and frees that one, so it holds
-    two levels of values at a time. Nothing outlives the call. `vectors` is
-    any iterable, read once; each vector is packed into its key as it is
-    read, and every one is checked before any state is visited.
+    states that each level reaches from the vectors, each level's keys
+    packed into one bytes object; a bottom-up sweep then decodes one level
+    at a time, computes its values from the level below and frees that
+    level's keys and the values below. So the pass holds every level's keys
+    at a few bytes a state, and two levels of values. Nothing outlives the
+    call. `vectors` is any iterable, read once; each vector is packed into
+    its key as it is read, and every one is checked before any state is
+    visited.
 
     A is symmetric in its arguments, so a vector is taken in ascending order
     and a state lists its runs of equal entries as (v1, n1, v2, n2, ...):
@@ -300,9 +307,11 @@ def recurrence_counts(vectors):
     found = {0: 1}
     below = {0: 1}  # the values of the level below
     for size in range(1, len(levels)):
+        keys = _unpacked(*levels[size])
+        levels[size] = None  # `keys` frees the bytes once it is used up
         values = {}
         chains = {}
-        for key in levels[size]:
+        for key in keys:
             # the runs are walked from the last to the first: `pre` packs the
             # runs before the current one, so a head is `pre` with its last
             # count raised or with (v - 1, 1) appended. Every child key stays
@@ -348,7 +357,6 @@ def recurrence_counts(vectors):
                 v = u
                 pre >>= 32
             values[key] = total
-        levels[size] = None
         below = values
         for key in wanted.get(size, ()):
             found[key] = values[key]
@@ -378,9 +386,14 @@ def _packed(multiplicities):
 
 def _reachable(wanted):
     """The keys each level reaches from `wanted` (total length -> keys), as
-    one list per total length; the walk is the bottom-up sweep's."""
+    one (width, keys) pair per total length; the walk is the bottom-up
+    sweep's. `keys` is one bytes object of the level's keys, `width` bytes
+    each, big-endian, with `width` the byte length of the level's largest
+    key: zero bytes in front leave a key's value alone, since its first field
+    is the most significant. A state costs `width` bytes, at most 11 in the
+    sequences (r,) * n up to r = 10, where an int in a list costs 50 to 60."""
     top = max(wanted, default=0)
-    levels = [[0]] * (top + 1)
+    levels = [(1, b"\0")] * (top + 1)  # level 0 is the empty state
     level = set()
     for size in range(top, 0, -1):
         level.update(wanted.get(size, ()))
@@ -426,6 +439,15 @@ def _reachable(wanted):
                 n = pre & 0xFFFF
                 v = u
                 pre >>= 32
-        levels[size] = list(level)
+        width = (max(level).bit_length() + 7) // 8
+        keys = bytearray()
+        for key in level:
+            keys += key.to_bytes(width, "big")
+        levels[size] = width, bytes(keys)
         level = below
     return levels
+
+
+def _unpacked(width, keys):
+    """An iterator over the keys of one level that `_reachable` packed."""
+    return map(int.from_bytes, iter(partial(BytesIO(keys).read, width), b""), repeat("big"))

@@ -280,6 +280,17 @@ def test_eliminate_budget_beyond_the_timer_means_no_limit(capsys, tmp_path, budg
     assert code == EXIT_OK, err
 
 
+def test_eliminate_zero_budget_exits_3_on_a_cache_hit(capsys, tmp_path):
+    code, _, err = run(capsys, "eliminate", "--r", "2", "--timeout", "inf",
+                       "--cache-dir", str(tmp_path))
+    assert code == EXIT_OK, err
+    code, out, err = run(capsys, "eliminate", "--r", "2", "--timeout", "0",
+                         "--cache-dir", str(tmp_path))
+    assert code == EXIT_TIMEOUT
+    assert out == ""
+    assert err == "error: resultants elimination exceeded its time budget of 0.0 s\n"
+
+
 def test_eliminate_without_limit_reports_valid_json(capsys, tmp_path):
     def reject(constant):
         raise ValueError(f"not JSON: {constant}")

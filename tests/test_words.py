@@ -302,29 +302,37 @@ def _states(r, nmax):
     wanted = {}
     for size, key in map(words._packed, [(r,) * n for n in range(nmax + 1)]):
         wanted.setdefault(size, set()).add(key)
-    return sum(map(len, words._reachable(wanted)))
+    return sum(len(keys) // width for width, keys in words._reachable(wanted))
 
 
 def test_recurrence_memory_budget():
-    # the oracle benchmark's two recurrence jobs, one pass each, in a fresh
-    # interpreter: the high-water mark of its resident set may rise by at
-    # most 4 MiB. It rose by 1.9 MiB on CPython 3.11, and by 10.2 MiB when a
-    # memo kept all 61,075 states the two jobs reach for the life of the
-    # process
+    # in a fresh interpreter, the high-water mark of its resident set may
+    # rise by at most 1 MiB over the oracle benchmark's two recurrence jobs,
+    # one pass each, and by at most 3 MiB once r=6 up to n=34 has run as
+    # well. On CPython 3.11 they rose by 0.11 and 1.2 MiB with each level's
+    # keys packed in one bytes object, and by 1.75 and 8.6 MiB when the
+    # levels were lists of ints. The mark is VmHWM: ru_maxrss keeps the
+    # high-water mark of the process that started the interpreter, so under
+    # pytest it rose by nothing at all
     src = os.path.dirname(os.path.dirname(words.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code = (
-        "import resource\n"
         "from avoidwords.words import recurrence_counts\n"
-        "high = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "def high():\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        return next(int(line.split()[1]) for line in status if line.startswith('VmHWM:'))\n"
         "before = high()\n"
         "for r, nmax in ((3, 36), (5, 22)):\n"
         "    recurrence_counts([(r,) * n for n in range(nmax + 1)])\n"
         "print(high() - before)\n"
+        "recurrence_counts([(6,) * n for n in range(35)])\n"
+        "print(high() - before)\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True)
-    assert int(done.stdout) < 4 * 1024  # ru_maxrss is in KiB on Linux
+    oracle, r6 = map(int, done.stdout.split())  # in KiB
+    assert oracle < 1024
+    assert r6 < 3 * 1024
     # the states each sequence visits, the empty state included
     assert _states(3, 36) == 44_941
     assert _states(5, 22) == 33_321
