@@ -1,10 +1,12 @@
 """Buchberger's algorithm with an elimination block order, over the integers.
 
 Polynomials are plain dicts {exponent tuple: int} kept in the form of
-`polynomials.primitive_terms`; reductions are fraction-free. Pair bookkeeping
-uses the Gebauer-Moeller criteria and the sugar selection strategy -- the
-schemes this runs on are small systems of quadratics, but the elimination
-orders make pair management the difference between seconds and hours.
+`polynomials.primitive_terms`; reductions are fraction-free. The pair loop is
+the textbook one: smallest lcm first, with Buchberger's two criteria. A
+reduced basis under a fixed order is unique, and each element is primitive
+with a positive lex-largest coefficient, so no pair order changes the result.
+The schemes finish in milliseconds at r <= 2; r = 3 outlasts a 20 s budget,
+as it did with the Gebauer-Moeller criteria and sugar selection.
 """
 
 from math import gcd
@@ -36,11 +38,6 @@ def block_elimination_key(nvars, elim_positions, kept_positions):
     return key
 
 
-def _leading(p, key):
-    e = max(p, key=key)
-    return e, p[e]
-
-
 def _divides_exp(a, b):
     for x, y in zip(a, b):
         if x > y:
@@ -52,32 +49,21 @@ def _lcm_exp(a, b):
     return tuple(x if x >= y else y for x, y in zip(a, b))
 
 
-def _coprime_exp(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+def _entry(poly, key_fn):
+    """A basis entry (poly, lead, lc) for a nonzero polynomial."""
+    lead = max(poly, key=key_fn)
+    return poly, lead, poly[lead]
 
 
-class _Entry:
-    __slots__ = ("poly", "lead", "lc", "key", "sugar", "redundant")
+def normal_form(p, basis, key_fn):
+    """Fully reduce p against the basis entries; fraction-free.
 
-    def __init__(self, poly, key_fn, sugar):
-        self.poly = poly
-        self.lead, self.lc = _leading(poly, key_fn)
-        self.key = key_fn(self.lead)
-        self.sugar = sugar
-        self.redundant = False
-
-
-def normal_form(p, entries, key_fn, sugar=None):
-    """Fully reduce p against the live basis entries; fraction-free.
-
-    Returns (reduced dict, sugar). The reduced polynomial is primitive.
-    Integer content is stripped every few steps: fraction-free reduction
-    otherwise snowballs coefficient sizes through the leading coefficients of
-    the reducers.
+    Returns the reduced dict, made primitive. Integer content is stripped
+    every few steps: fraction-free reduction otherwise snowballs coefficient
+    sizes through the leading coefficients of the reducers.
     """
     p = dict(p)
     done = set()
-    reducers = [g for g in entries if g.poly and not g.redundant]
     steps = 0
     while True:
         cand = None
@@ -92,31 +78,30 @@ def normal_form(p, entries, key_fn, sugar=None):
             break
         hit = None
         hit_size = None
-        for g in reducers:
-            if _divides_exp(g.lead, cand):
-                size = (g.lc.bit_length(), len(g.poly))
+        for g in basis:
+            if _divides_exp(g[1], cand):
+                size = (g[2].bit_length(), len(g[0]))
                 if hit is None or size < hit_size:
                     hit, hit_size = g, size
         if hit is None:
             done.add(cand)
             continue
+        poly, lead, lc = hit
         c = p[cand]
-        d = gcd(hit.lc, c)
-        a = hit.lc // d
+        d = gcd(lc, c)
+        a = lc // d
         b = c // d
         if a != 1:
             for e in p:
                 p[e] = p[e] * a
-        shift = tuple(x - y for x, y in zip(cand, hit.lead))
-        for e2, c2 in hit.poly.items():
+        shift = tuple(x - y for x, y in zip(cand, lead))
+        for e2, c2 in poly.items():
             e3 = tuple(x + y for x, y in zip(e2, shift))
             v = p.get(e3, 0) - b * c2
             if v:
                 p[e3] = v
             else:
                 p.pop(e3, None)
-        if sugar is not None:
-            sugar = max(sugar, hit.sugar + sum(shift))
         steps += 1
         if steps % 8 == 0 and p:
             g0 = 0
@@ -127,151 +112,53 @@ def normal_form(p, entries, key_fn, sugar=None):
             if g0 > 1:
                 for e in p:
                     p[e] //= g0
-    return primitive_terms(p), sugar
+    return primitive_terms(p)
 
 
-def _spoly(f, g, key_fn):
-    l = _lcm_exp(f.lead, g.lead)
-    d = gcd(f.lc, g.lc)
-    cf = g.lc // d
-    cg = f.lc // d
-    sf = tuple(x - y for x, y in zip(l, f.lead))
-    sg = tuple(x - y for x, y in zip(l, g.lead))
+def _spoly(f, g, lcm):
+    d = gcd(f[2], g[2])
     out = {}
-    for e, c in f.poly.items():
-        ee = tuple(x + y for x, y in zip(e, sf))
-        out[ee] = out.get(ee, 0) + cf * c
-    for e, c in g.poly.items():
-        ee = tuple(x + y for x, y in zip(e, sg))
-        v = out.get(ee, 0) - cg * c
-        if v:
-            out[ee] = v
-        else:
-            out.pop(ee, None)
-    sugar = max(f.sugar + sum(sf), g.sugar + sum(sg))
-    return out, sugar
-
-
-class _Pair:
-    __slots__ = ("i", "j", "lcm", "sugar", "degree")
-
-    def __init__(self, entries, i, j):
-        self.i = i
-        self.j = j
-        self.lcm = _lcm_exp(entries[i].lead, entries[j].lead)
-        si = entries[i].sugar + sum(x - y for x, y in zip(self.lcm, entries[i].lead))
-        sj = entries[j].sugar + sum(x - y for x, y in zip(self.lcm, entries[j].lead))
-        self.sugar = max(si, sj)
-        self.degree = sum(self.lcm)
-
-
-def _update_pairs(entries, pairs, t):
-    """Gebauer-Moeller update after entries[t] was appended."""
-    h = entries[t]
-    # candidate new pairs, pruned by the M/F/B criteria
-    cand = []
-    for i, g in enumerate(entries[:t]):
-        if g.redundant:
-            continue
-        cand.append(_Pair(entries, i, t))
-    kept = []
-    for p in cand:
-        l = p.lcm
-        strictly_smaller = False
-        for q in cand:
-            if q is p:
-                continue
-            if _divides_exp(q.lcm, l) and q.lcm != l:
-                strictly_smaller = True
-                break
-        if strictly_smaller:
-            continue
-        kept.append(p)
-    # F criterion: among equal lcms keep one, preferring a coprime pair (dropped entirely)
-    by_lcm = {}
-    for p in kept:
-        by_lcm.setdefault(p.lcm, []).append(p)
-    new_pairs = []
-    for l, group in by_lcm.items():
-        coprime = any(
-            _coprime_exp(entries[p.i].lead, entries[p.j].lead) for p in group
-        )
-        if coprime:
-            continue  # B criterion: S-polynomial reduces to zero
-        new_pairs.append(group[0])
-    # chain criterion on the old pairs
-    survivors = []
-    for p in pairs:
-        gi, gj = entries[p.i], entries[p.j]
-        if not _divides_exp(h.lead, p.lcm):
-            survivors.append(p)
-            continue
-        if _lcm_exp(gi.lead, h.lead) == p.lcm or _lcm_exp(gj.lead, h.lead) == p.lcm:
-            survivors.append(p)
-            continue
-        # lcm(i,j) strictly contains lm(h): pair (i,j) is redundant
-    survivors.extend(new_pairs)
-    # redundancy of older basis elements
-    for g in entries[:t]:
-        if not g.redundant and _divides_exp(h.lead, g.lead):
-            g.redundant = True
-    return survivors
+    for (poly, lead, _), c in ((f, g[2] // d), (g, -(f[2] // d))):
+        shift = tuple(x - y for x, y in zip(lcm, lead))
+        for e, v in poly.items():
+            e = tuple(x + y for x, y in zip(e, shift))
+            v = out.get(e, 0) + c * v
+            if v:
+                out[e] = v
+            else:
+                out.pop(e, None)
+    return out
 
 
 def groebner_basis(generators, key_fn):
-    """Reduced Groebner basis of the generators under the given order key.
-
-    Input and output polynomials are {exponent tuple: int} dicts.
-    """
-    entries = []
-    pairs = []
-    for p in generators:
-        p = primitive_terms(p)
-        if not p:
-            continue
-        p, _ = normal_form(p, entries, key_fn, 0)
-        if not p:
-            continue
-        entries.append(_Entry(p, key_fn, max(sum(e) for e in p)))
-        pairs = _update_pairs(entries, pairs, len(entries) - 1)
+    """Reduced Groebner basis of the generators ({exponent tuple: int} dicts)
+    under the given order key, sorted by leading monomial, smallest first."""
+    basis = [_entry(p, key_fn) for p in map(primitive_terms, generators) if p]
+    pairs = {(i, j): _lcm_exp(basis[i][1], basis[j][1]) for j in range(len(basis)) for i in range(j)}
     while pairs:
-        best = min(range(len(pairs)), key=lambda k: (pairs[k].sugar, key_fn(pairs[k].lcm)))
-        pair = pairs.pop(best)
-        f, g = entries[pair.i], entries[pair.j]
-        s, sugar = _spoly(f, g, key_fn)
-        if not s:
-            continue
-        h, sugar = normal_form(s, entries, key_fn, sugar)
-        if not h:
-            continue
-        entries.append(_Entry(h, key_fn, sugar))
-        pairs = _update_pairs(entries, pairs, len(entries) - 1)
-    return _reduce_basis(entries, key_fn)
-
-
-def _reduce_basis(entries, key_fn):
-    """Interreduce: minimal leads, fully tail-reduced, canonical order."""
-    live = [g for g in entries if not g.redundant]
-    # minimality: drop any element whose lead is divisible by another's lead
-    minimal = []
-    for g in live:
+        (i, j), lcm = min(pairs.items(), key=lambda item: key_fn(item[1]))
+        del pairs[i, j]
+        f, g = basis[i], basis[j]
+        if all(x == 0 or y == 0 for x, y in zip(f[1], g[1])):
+            continue  # coprime leads: the S-polynomial reduces to zero
         if any(
-            h is not g and _divides_exp(h.lead, g.lead) for h in live
+            k != i and k != j and _divides_exp(h[1], lcm)
+            and (min(i, k), max(i, k)) not in pairs
+            and (min(j, k), max(j, k)) not in pairs
+            for k, h in enumerate(basis)
         ):
-            continue
-        minimal.append(g)
-    changed = True
-    while changed:
-        changed = False
-        for idx, g in enumerate(minimal):
-            others = [h for h in minimal if h is not g]
-            reduced, _ = normal_form(g.poly, others, key_fn, 0)
-            if reduced != g.poly:
-                changed = True
-                if not reduced:
-                    minimal.pop(idx)
-                else:
-                    minimal[idx] = _Entry(reduced, key_fn, g.sugar)
-                break
-    minimal.sort(key=lambda g: g.key)
-    return [g.poly for g in minimal]
+            continue  # chain criterion
+        h = normal_form(_spoly(f, g, lcm), basis, key_fn)
+        if h:
+            h = _entry(h, key_fn)
+            pairs.update(((k, len(basis)), _lcm_exp(e[1], h[1])) for k, e in enumerate(basis))
+            basis.append(h)
+    # minimal, by increasing lead: a kept lead divides every dropped one's;
+    # tail reduction keeps the leads, so the order stays sorted
+    minimal = []
+    for g in sorted(basis, key=lambda g: key_fn(g[1])):
+        if not any(_divides_exp(h[1], g[1]) for h in minimal):
+            minimal.append(g)
+    for k, g in enumerate(minimal):
+        minimal[k] = _entry(normal_form(g[0], minimal[:k] + minimal[k + 1:], key_fn), key_fn)
+    return [g[0] for g in minimal]

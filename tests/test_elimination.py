@@ -1,3 +1,5 @@
+import itertools
+import random
 import signal
 import threading
 import time
@@ -73,6 +75,84 @@ def test_elimination_independent_of_equation_order():
     a = eliminate(scheme, "buchberger")
     b = eliminate(reversed_scheme, "buchberger")
     assert a == b
+
+
+def test_buchberger_without_a_kept_basis_element_raises():
+    # G0_1 = x and G1_1*x = 1 leave G0_0 and x free: the elimination ideal
+    # is zero, so no basis element lies in the kept variables
+    variables = build_scheme(2).variables
+    g01, g11, x = (MP.variable(variables, name) for name in ("G0_1", "G1_1", "x"))
+    scheme = AlgebraicScheme(
+        r=2, variables=variables, equations={(0, 0): g01 - x, (0, 1): g11 * g01 - 1}
+    )
+    with pytest.raises(EmptyEliminationError, match="no Groebner basis element"):
+        eliminate(scheme, "buchberger")
+
+
+def _sympy_reduced_basis(sympy, generators, nvars, elim, kept):
+    """sympy's reduced basis under the block order of `block_elimination_key`,
+    as primitive dicts over the original variable positions, each with a
+    positive lex-largest coefficient."""
+    from sympy.polys.orderings import ProductOrder, grevlex, lex
+
+    perm = list(elim) + list(kept)
+    symbols = sympy.symbols(f"v0:{nvars}")
+    gens = [symbols[k] for k in perm]
+    order = ProductOrder((grevlex, lambda m: m[:len(elim)]), (lex, lambda m: m[len(elim):]))
+    polys = [sympy.Poly.from_dict({tuple(e[k] for k in perm): c for e, c in p.items()}, *gens)
+             for p in generators]
+    out = []
+    for g in sympy.groebner(polys, *gens, order=order, domain="ZZ").polys:
+        _, g = g.primitive()
+        terms = {}
+        for m, c in g.terms():
+            e = [0] * nvars
+            for k, d in zip(perm, m):
+                e[k] = d
+            terms[tuple(e)] = int(c)
+        if terms[max(terms)] < 0:
+            terms = {e: -c for e, c in terms.items()}
+        out.append(terms)
+    return out
+
+
+def _as_set(basis):
+    return {frozenset(p.items()) for p in basis}
+
+
+def _random_system(rng):
+    polys = []
+    count = rng.choice((2, 3))
+    while len(polys) < count:
+        p = {}
+        for _ in range(rng.randint(1, 4)):
+            e = tuple(rng.randint(0, 3) for _ in range(4))
+            if sum(e) <= 3:
+                p[e] = rng.choice((-3, -2, -1, 1, 2, 3))
+        if p:
+            polys.append(p)
+    return polys
+
+
+def test_reduced_groebner_basis_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    systems = []
+    for r in (1, 2):
+        scheme = build_scheme(r)
+        variables = scheme.variables
+        elim = [k for k, v in enumerate(variables) if v not in ("x", "G0_0")]
+        kept = [variables.index("G0_0"), variables.index("x")]
+        gens = [poly.primitive().terms for poly in scheme.equations.values()]
+        for perm in itertools.permutations(gens):
+            systems.append((list(perm), len(variables), elim, kept))
+    rng = random.Random(20141)
+    systems += [(_random_system(rng), 4, [0, 1], [2, 3]) for _ in range(50)]
+    for gens, nvars, elim, kept in systems:
+        key_fn = groebner.block_elimination_key(nvars, elim, kept)
+        basis = groebner.groebner_basis(gens, key_fn)
+        leads = [max(p, key=key_fn) for p in basis]
+        assert leads == sorted(leads, key=key_fn)
+        assert _as_set(basis) == _as_set(_sympy_reduced_basis(sympy, gens, nvars, elim, kept))
 
 
 def test_spec_resultant_example_vs_sylvester():
