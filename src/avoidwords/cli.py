@@ -50,11 +50,7 @@ from .elimination import (
     verify_annihilation,
 )
 from .fixtures import reference_equation
-from .guessing import (
-    InsufficientTermsError,
-    guess_algebraic,
-    guess_recurrence,
-)
+from .guessing import InsufficientTermsError, guess_algebraic, guess_recurrence, terms_needed
 from .polynomials import MultivariatePolynomial
 from .scheme import build_scheme, word_counts
 from .words import (
@@ -198,7 +194,7 @@ def cmd_eliminate(args):
 
 def cmd_guess(args):
     if args.algebraic:
-        nterms = args.terms or (args.max_deg_x + 1) * (args.max_deg_f + 1) + 12
+        nterms = args.terms or terms_needed(args.max_deg_x, args.max_deg_f + 1)
         poly = guess_algebraic(word_counts(args.r, nterms - 1), args.max_deg_x, args.max_deg_f)
         if poly is None:
             print("no algebraic equation found within the bounds", file=sys.stderr)
@@ -211,7 +207,7 @@ def cmd_guess(args):
               text if verdict is None else f"{text}\nreference match: {verdict}")
         return EXIT_VERIFICATION if verdict == "mismatch" else EXIT_OK
 
-    nterms = args.terms or (args.max_order + 1) * (args.max_degree + 1) + args.max_order + 14
+    nterms = args.terms or terms_needed(args.max_order, args.max_degree + 2)
     # not cached: the guess costs little more than the terms that would
     # re-verify a cached recurrence
     rec = guess_recurrence(word_counts(args.r, nterms - 1), args.max_order, args.max_degree)

@@ -1,26 +1,23 @@
-"""Guess linear recurrences with polynomial coefficients, and verify them.
+"""Guess linear recurrences and algebraic equations, and verify them.
 
-The searcher walks candidate (order, degree) pairs by increasing total, sets
-up the homogeneous linear system satisfied by the unknown coefficient
-polynomials, and keeps a kernel vector only when it also annihilates terms
-that were held out of the fit. Algebraic equations are guessed the same way
-from series coefficients. Both build their systems modulo primes and take
-kernel candidates from ``linalg.integer_kernel``; a candidate is accepted only
-after an exact check on every available term or coefficient.
-
-A recurrence is never more than empirically verified: it is checked on all
-supplied terms, not proved.
+Both guessers solve one Hermite-Pade problem: polynomials q_j(X) of degree
+<= rho with sum_j q_j * f_j = 0 mod X^s. A recurrence of order rho and
+degree d is one among 1, w, theta w, ..., theta^d w, where theta^j w is the
+series of n^j * w(n); an equation P(x, F) = 0 of degrees (rho, d) is one
+among F^0, ..., F^d. Per prime, one order basis gives the least rho within
+the bound and the least d at it (`_least_relations`); `linalg.integer_rows`
+lifts them to integers. The fit never reads the HOLDOUT trailing terms, and
+a candidate is accepted only after an exact check on every term.
 """
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .elimination import canonical_equation
-from .linalg import integer_kernel
+from .linalg import echelon, integer_rows, order_basis
 from .polynomials import MultivariatePolynomial
-from .series import evaluate_on_series, series_mul
+from .series import evaluate_on_series
 
 # trailing terms or coefficients held out of every fit and checked first
 HOLDOUT = 10
@@ -45,13 +42,6 @@ def _poly_eval(coeffs, n):
     return acc
 
 
-def _poly_trim(coeffs):
-    coeffs = list(coeffs)
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
 @dataclass(frozen=True)
 class LinearRecurrence:
     """sum_k p_k(n) * w(n+k) = 0, with integer coefficient polynomials.
@@ -73,23 +63,18 @@ class LinearRecurrence:
     @classmethod
     def from_kernel_vector(cls, vec, order, degree):
         """Canonicalize a primitive integer vector laid out as (k, j) -> vec[k*(degree+1)+j]."""
-        polys = [
-            _poly_trim(vec[k * (degree + 1): (k + 1) * (degree + 1)])
-            for k in range(order + 1)
-        ]
+        polys = [tuple(vec[k * (degree + 1): (k + 1) * (degree + 1)]) for k in range(order + 1)]
+        polys = [p[: max([j + 1 for j, c in enumerate(p) if c], default=1)] for p in polys]
         while len(polys) > 1 and polys[-1] == (0,):
             polys.pop()
         if polys[-1][-1] < 0:
             polys = [tuple(-c for c in p) for p in polys]
         return cls(tuple(polys))
 
-    def residual(self, terms, n):
-        return sum(_poly_eval(p, n) * terms[n + k] for k, p in enumerate(self.coeffs))
-
     def verify(self, terms):
         """Exact check of the recurrence at every applicable index."""
-        L = self.order
-        return all(self.residual(terms, n) == 0 for n in range(len(terms) - L))
+        return all(sum(_poly_eval(p, n) * terms[n + k] for k, p in enumerate(self.coeffs)) == 0
+                   for n in range(len(terms) - self.order))
 
     def extend(self, initial, nmax):
         """Terms w(0..nmax) from at least `order` initial ones, by exact division."""
@@ -97,14 +82,11 @@ class LinearRecurrence:
         if len(initial) < L:
             raise ValueError(f"need at least {L} initial terms")
         terms = list(initial[: nmax + 1])
-        pL = self.coeffs[L]
         for n in range(len(terms) - L, nmax + 1 - L):
-            lead = _poly_eval(pL, n)
+            lead = _poly_eval(self.coeffs[L], n)
             if lead == 0:
                 raise SingularRecurrenceError(f"leading coefficient vanishes at n={n}")
-            acc = 0
-            for k in range(L):
-                acc += _poly_eval(self.coeffs[k], n) * terms[n + k]
+            acc = sum(_poly_eval(self.coeffs[k], n) * terms[n + k] for k in range(L))
             q, rem = divmod(-acc, lead)
             if rem:
                 raise NonIntegralExtensionError(f"non-integral term at n={n + L}")
@@ -112,150 +94,151 @@ class LinearRecurrence:
         return terms
 
     def __str__(self):
-        def poly_str(p):
-            parts = []
-            for j, c in enumerate(p):
-                if c == 0:
-                    continue
-                if j == 0:
-                    parts.append(str(c))
-                elif j == 1:
-                    parts.append(f"{c}*n" if c != 1 else "n")
-                else:
-                    parts.append(f"{c}*n^{j}" if c != 1 else f"n^{j}")
-            return " + ".join(parts) if parts else "0"
+        def monomial(c, j):
+            power = "" if j == 0 else "n" if j == 1 else f"n^{j}"
+            return str(c) if not power else power if c == 1 else f"{c}*{power}"
 
-        terms = [f"({poly_str(p)})*w(n+{k})" if k else f"({poly_str(p)})*w(n)"
-                 for k, p in enumerate(self.coeffs) if any(p)]
-        return " + ".join(terms) + " = 0"
+        return " + ".join(
+            f"({' + '.join(monomial(c, j) for j, c in enumerate(p) if c)})*w(n{f'+{k}' if k else ''})"
+            for k, p in enumerate(self.coeffs) if any(p)
+        ) + " = 0"
 
     def to_json(self):
-        return {
-            "order": self.order,
-            "coefficients": [[str(c) for c in p] for p in self.coeffs],
-        }
+        return {"order": self.order, "coefficients": [[str(c) for c in p] for p in self.coeffs]}
 
     @classmethod
     def from_json(cls, data):
         return cls(tuple(tuple(int(c) for c in p) for p in data["coefficients"]))
 
 
-# ---------------- the search shared by both guessers ----------------
-
-def _first_verified(max_i, max_j, candidates, coefficients, verify):
-    """The first candidate that passes `verify`, or None.
-
-    Boxes (i, j) with i <= max_i and j <= max_j are tried by increasing
-    i + j (ties: smaller i); within a box, the list candidates(i, j) is
-    tried by increasing total bit size of coefficients(candidate), earlier
-    candidates first among equals.
+def terms_needed(order, columns):
+    """Terms a search to degree `order` among `columns` series needs (a
+    recurrence search has max_degree + 2 columns, an equation search
+    max_deg_f + 1): (order + 1) * columns + 3 to fit, HOLDOUT to check. A
+    recurrence box has one unknown fewer, its column 1 stopping a degree
+    lower, so at least 4 more equations than unknowns; an equation box 3.
     """
+    return (order + 1) * columns + 3 + HOLDOUT
+
+
+def _fitted(values, order, columns):
+    if len(values) < (need := terms_needed(order, columns)):
+        raise InsufficientTermsError(f"{len(values)} terms supplied; bounds require at least {need}")
+    return values[: len(values) - HOLDOUT]
+
+
+def _prime_bound(length):
+    """2^b for the largest b with 2^(2b) * 2^(bit length of `length`) <= 2^63:
+    every prime p below it has length * (p-1)^2 < 2^63."""
+    return 2 ** ((63 - length.bit_length()) // 2)
+
+
+def _least_relations(columns, p, max_order, shift=None, skip=0):
+    """(signature, rows) of the least relations mod p, or None if none has
+    order <= `max_order`: the order rho is the least degree of the order
+    basis, the degree d the least index in columns[skip:] of the last column
+    used at order rho. Rows are in `echelon` form, X^i of column skip+j at
+    j*(rho+1)+i; the signature is (rho, d, -dimension, pivots).
+
+    A primitive integer relation reduces mod p to a nonzero one of no larger
+    order or degree. So an order above the bound mod one prime proves none
+    over Q; and mod p the least order and degree can only fall, the space at
+    them only grow, and at equal dimension its pivots only fall (`echelon`).
+    All but finitely many primes keep all four.
+    """
+    basis, degrees = order_basis(columns, p, shift)
+    order = int(degrees.min())
+    if order > max_order:
+        return None
+    rows = basis[degrees == order, skip:, : order + 1]
+    pivots, rows = echelon(rows.reshape(len(rows), -1), p)
+    width = (pivots[0] // (order + 1) + 1) * (order + 1)
+    keep = sum(c < width for c in pivots)
+    return (order, width // (order + 1) - 1, -keep, pivots[:keep]), rows[:keep, :width]
+
+
+def _smallest_verified(candidates, coefficients, verify):
+    """The first candidate to pass `verify` by total coefficient bit size, or None."""
     def bits(c):
         return sum(abs(v).bit_length() for v in coefficients(c))
 
-    for total in range(max_i + max_j + 1):
-        for i in range(min(total, max_i) + 1):
-            if total - i <= max_j:
-                for c in sorted(candidates(i, total - i), key=bits):
-                    if verify(c):
-                        return c
-    return None
+    return next((c for c in sorted(candidates, key=bits) if verify(c)), None)
 
-
-# ---------------- the (order, degree) search ----------------
 
 def guess_recurrence(terms, max_order, max_degree):
-    """Smallest verified recurrence within the bounds, or None.
+    """The verified recurrence of least order within the bounds, at the least
+    degree for it; or None. A relation of order rho whose column 1 has
+    degree below rho holds at n = 0 ... len(terms) - HOLDOUT - rho - 1. A
+    space of dimension above one is tried in n-form `echelon` rows."""
+    fitted = _fitted(terms, max_order, max_degree + 2)
 
-    Candidates are tried by increasing order+degree (ties: smaller order);
-    a fit must also annihilate the HOLDOUT trailing terms it was not fitted
-    on, then the whole list, before it is accepted. When a candidate system
-    has a kernel of dimension above one, the basis vector with the smallest
-    total coefficient bit size wins.
-    """
-    need = (max_order + 1) * (max_degree + 1) + max_order + HOLDOUT
-    if len(terms) < need:
-        raise InsufficientTermsError(
-            f"{len(terms)} terms supplied; bounds require at least {need}"
-        )
-    return _first_verified(
-        max_order, max_degree,
-        lambda order, degree: _recurrence_candidates(terms, order, degree),
-        lambda rec: chain.from_iterable(rec.coeffs),
+    def solve(p):
+        columns = _recurrence_columns(fitted, max_degree, p)
+        found = _least_relations(columns, p, max_order, [1] + [0] * (max_degree + 1), skip=1)
+        if found is None:
+            return None
+        (order, degree, *_), rows = found
+        pivots, rows = echelon(_theta_to_n(rows, order, degree, p), p)
+        return (order, degree, -len(pivots), pivots), rows
+
+    signature, vectors = integer_rows(solve, _prime_bound(len(fitted)))
+    return _smallest_verified(
+        [LinearRecurrence.from_kernel_vector(v, *signature[:2]) for v in vectors],
+        lambda rec: [c for p in rec.coeffs for c in p],
         lambda rec: rec.verify(terms),
     )
 
 
-def _recurrence_candidates(terms, order, degree):
-    """Kernel recurrences of exactly this order and degree bound."""
-    width = (order + 1) * (degree + 1)
-    # rows >= width in both guessers: `need` leaves the outer box's width past holdout and shifts
-    rows = min(width + 4, len(terms) - HOLDOUT - order)
-    kernel = integer_kernel(lambda p: _recurrence_matrix(terms, order, degree, rows, p))
-    recs = (LinearRecurrence.from_kernel_vector(vec, order, degree) for vec in kernel)
-    # a lower-order recurrence would have been found earlier
-    return [rec for rec in recs if rec.order == order]
+def _recurrence_columns(terms, degree, p):
+    """1, w, theta w, ..., theta^degree w mod p: row 1+j holds n^j * w(n). Each
+    entry is a product of two residues, so p < 2^31 keeps it in int64."""
+    out = np.zeros((degree + 2, len(terms)), dtype=np.int64)
+    out[0, 0] = 1
+    out[1] = [t % p for t in terms]
+    n = np.arange(len(terms), dtype=np.int64) % p
+    for j in range(2, degree + 2):
+        out[j] = out[j - 1] * n % p
+    return out
 
 
-def _recurrence_matrix(terms, order, degree, rows, p):
-    """Row n holds n^j * w(n+k) mod p at column k*(degree+1)+j."""
-    tmod = np.array([t % p for t in terms[: rows + order]], dtype=np.int64)
-    shifted = np.stack([tmod[k: k + rows] for k in range(order + 1)], axis=1)
-    powers = np.ones((rows, degree + 1), dtype=np.int64)
-    n = np.arange(rows, dtype=np.int64)
-    for j in range(1, degree + 1):
-        powers[:, j] = powers[:, j - 1] * n % p
-    return (shifted[:, :, None] * powers[:, None, :] % p).reshape(rows, -1)
+def _theta_to_n(rows, order, degree, p):
+    """Rows of `_least_relations` over theta^0 w ... theta^degree w as
+    recurrence vectors mod p, (k, j) at k*(degree+1)+j. At X^(n+order) a row
+    reads sum_k p~_k(n+k) * w(n+k), p~_k holding the coefficients of
+    X^(order-k); so p_k(n) = p~_k(n+k), a Taylor shift, unimodular over Z."""
+    tilde = rows.reshape(len(rows), degree + 1, order + 1)[:, :, ::-1].transpose(0, 2, 1)
+    k = np.arange(order + 1, dtype=np.int64)[:, None]
+    out = np.zeros_like(tilde)
+    for j in range(degree, -1, -1):
+        out = (np.roll(out, 1, axis=2) + k * out) % p
+        out[:, :, 0] = (out[:, :, 0] + tilde[:, :, j]) % p
+    return out.reshape(len(rows), -1)
 
-
-# ---------------- direct algebraic-equation guessing ----------------
 
 def guess_algebraic(series, max_deg_x, max_deg_f):
-    """Smallest P over (x, F) with P(x, f) = 0 mod x^len(series), or None.
-
-    Cross-check of the elimination route: works straight from the series'
-    integer coefficients, holdout-checked on the final HOLDOUT coefficients
-    and then checked exactly up to the cutoff.
-    """
-    need = (max_deg_x + 1) * (max_deg_f + 1) + HOLDOUT
-    if len(series) < need:
-        raise InsufficientTermsError(
-            f"cutoff {len(series)} below required {need} for these bounds"
-        )
-    powers = [[1] + [0] * (len(series) - 1)]
-    for _ in range(max_deg_f):
-        powers.append(series_mul(powers[-1], series))
-    residues = {}
-
-    def powers_mod(p):
-        if p not in residues:
-            residues[p] = np.array([[c % p for c in s] for s in powers], dtype=np.int64)
-        return residues[p]
-
-    return _first_verified(
-        max_deg_f, max_deg_x,
-        lambda df, dx: _algebraic_candidates(series, powers_mod, dx, df),
+    """The P(x, F) of least x-degree within the bounds, at the least F-degree
+    for it, that annihilates the series mod x^len(series); or None. It
+    cross-checks the elimination route from the series alone."""
+    fitted = _fitted(series, max_deg_x, max_deg_f + 1)
+    signature, vectors = integer_rows(
+        lambda p: _least_relations(_power_columns(fitted, max_deg_f, p), p, max_deg_x),
+        _prime_bound(len(fitted)),
+    )
+    return _smallest_verified(
+        [canonical_equation(MultivariatePolynomial(
+            ("x", "F"), {divmod(i, signature[0] + 1)[::-1]: c for i, c in enumerate(v)}
+        )) for v in vectors],
         lambda poly: poly.terms.values(),
         lambda poly: not any(evaluate_on_series(poly, {"F": series})),
     )
 
 
-def _algebraic_candidates(series, powers_mod, dx, df):
-    """Canonical kernel equations within (dx, df)."""
-    width = (dx + 1) * (df + 1)
-    rows = min(width + 4, len(series) - HOLDOUT)
-    kernel = integer_kernel(lambda p: _algebraic_matrix(powers_mod(p), dx, df, rows))
-    return [
-        canonical_equation(MultivariatePolynomial(
-            ("x", "F"), {(i % (dx + 1), i // (dx + 1)): c for i, c in enumerate(vec)}
-        ))
-        for vec in kernel
-    ]
-
-
-def _algebraic_matrix(powers, dx, df, rows):
-    """Row i holds [x^i] x^a F^b mod p at column b*(dx+1)+a."""
-    out = np.zeros((rows, df + 1, dx + 1), dtype=np.int64)
-    for a in range(dx + 1):
-        out[a:, :, a] = powers[: df + 1, : rows - a].T
-    return out.reshape(rows, -1)
+def _power_columns(series, degree, p):
+    """F^0, ..., F^degree mod p to L = len(series) coefficients; each is a dot
+    product of at most L residues, so L * (p-1)^2 < 2^63 (`_prime_bound`)."""
+    f = np.array([c % p for c in series], dtype=np.int64)
+    out = np.zeros((degree + 1, len(f)), dtype=np.int64)
+    out[0, 0] = 1
+    for b in range(1, degree + 1):
+        out[b] = np.convolve(out[b - 1], f)[: len(f)] % p
+    return out

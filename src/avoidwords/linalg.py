@@ -1,17 +1,14 @@
-"""Integer kernels by modular elimination and CRT reconstruction.
+"""Relations mod primes, lifted to integers by CRT.
 
-Both guessers look for integer vectors in the kernel of an integer matrix.
-``integer_kernel(build)`` finds them without rational arithmetic: the caller
-supplies the matrix reduced modulo a word-sized prime, each reduction is
-row-reduced over GF(p) with numpy, and the reduced kernel bases of agreeing
-primes are combined by CRT until rational reconstruction succeeds and one
-further prime confirms it.
-
-The vectors returned are candidates, not proofs: callers accept one only
-after an exact check of their own.
+`order_basis` finds the polynomial relations among series mod X^s over
+GF(p), for every degree bound at once; `echelon` puts rows mod p in a form
+that does not depend on p; `integer_rows` combines such rows over primes by
+CRT until rational reconstruction succeeds and one more prime confirms it;
+`integer_kernel` is the case of a matrix kernel. The vectors returned are
+candidates, not proofs: callers accept one only after an exact check.
 """
 
-from itertools import count
+from itertools import count, takewhile
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 from threading import Lock
@@ -20,25 +17,15 @@ import numpy as np
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % p == 0 for p in small):
+        return n in small
+    d, s = n - 1, 0
     while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        d, s = d // 2, s + 1
+    for a in small:  # Miller-Rabin, exact for n < 3.1 * 10^23
         x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+        if x not in (1, n - 1) and all((x := x * x % n) != n - 1 for _ in range(s - 1)):
             return False
     return True
 
@@ -60,41 +47,62 @@ def primes_below(bound):
         yield found[i]
 
 
-def _mod_rref_kernel(matrix_mod, p):
-    """Kernel basis of the matrix over GF(p), columns in natural order.
-
-    Returns (pivot_cols, basis) where basis vectors are integer lists mod p.
+def order_basis(columns, p, shift=None):
+    """Order basis mod p of the relations among `columns`, m series f_j mod
+    X^s given by their residues (Beckermann and Labahn's iterative
+    sigma-basis). Returns (basis, degrees): row i lists polynomials q_ij,
+    ascending in X, with sum_j q_ij*f_j = 0 mod X^s and shifted degree
+    degrees[i] = max_j (deg q_ij + shift[j]). At each order, of the rows
+    with a nonzero residual there, the one of least degree clears it from
+    the others and is multiplied by X. So sum_i a_i*row_i has degree
+    max_i (deg a_i + degrees[i]): the relations of least degree are the
+    constant combinations of the rows of that degree. Products are of two
+    residues, so p < 2^31 keeps all in int64.
     """
-    A = np.array(matrix_mod, dtype=np.int64)
-    rows, cols = A.shape
-    pivot_cols = []
-    r = 0
-    for c in range(cols):
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
+    residual = np.array(columns, dtype=np.int64) % p
+    m, length = residual.shape
+    degrees = [0] * m if shift is None else list(shift)
+    basis = np.zeros((m, m, length + max(degrees) + 2), dtype=np.int64)
+    basis[range(m), range(m), 0] = 1
+    for k in range(length):
+        coeffs = residual[:, k].tolist()
+        live = [i for i, c in enumerate(coeffs) if c]
+        if not live:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        A[r] = (A[r] * inv) % p
-        f = A[:, c].copy()
+        pivot = min(live, key=degrees.__getitem__)
+        if len(live) > 1:
+            f = np.array(coeffs, dtype=np.int64) * pow(coeffs[pivot], p - 2, p) % p
+            f[pivot] = 0
+            rest, polys = residual[:, k:], basis[:, :, : max(degrees) + 1]
+            rest -= f[:, None] * rest[pivot]
+            rest %= p
+            polys -= f[:, None, None] * polys[pivot]
+            polys %= p
+        residual[pivot, k + 1:] = residual[pivot, k:-1]
+        basis[pivot, :, 1:] = basis[pivot, :, :-1]
+        basis[pivot, :, 0] = 0
+        degrees[pivot] += 1
+    return basis, np.array(degrees)
+
+
+def echelon(rows, p):
+    """(pivots, rows): independent rows mod p in reduced echelon form from the
+    right. Each row's last nonzero entry is a 1 at its pivot, the others are
+    0 there, and the rows come by increasing pivot. The pivots are the
+    greedy basis from the right of the rows' column matroid. If the rows
+    reduce a lattice of rank k that keeps rank k mod p, the pivots can only
+    fall in each place: every basis mod p is one over Q, where the greedy
+    basis is the largest in each place."""
+    rows = np.array(rows, dtype=np.int64) % p
+    for r in range(len(rows)):
+        last = [int(np.flatnonzero(row)[-1]) for row in rows[r:]]
+        i, c = r + int(np.argmax(last)), max(last)
+        rows[[r, i]] = rows[[i, r]]
+        rows[r] = rows[r] * pow(int(rows[r, c]), p - 2, p) % p
+        f = rows[:, c].copy()
         f[r] = 0
-        A = (A - f[:, None] * A[r][None, :]) % p
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(cols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        v = [0] * cols
-        v[fc] = 1
-        for k, pc in enumerate(pivot_cols):
-            v[pc] = int((-A[k, fc]) % p)
-        basis.append(v)
-    return pivot_cols, basis
+        rows = (rows - f[:, None] * rows[r]) % p
+    return [int(np.flatnonzero(row)[-1]) for row in rows[::-1]], rows[::-1]
 
 
 def _rational_reconstruct(c, m):
@@ -131,24 +139,16 @@ def _crt_rows(rows, primes):
 
 def _reconstruct(residues, modulus):
     """Vectors of (numerator, denominator) pairs with these residues, or None."""
-    vectors = []
-    for v in residues:
-        fracs = []
-        for c in v:
-            rc = _rational_reconstruct(c, modulus)
-            if rc is None:
-                return None
-            fracs.append(rc)
-        vectors.append(fracs)
-    return vectors
+    fracs = (_rational_reconstruct(c, modulus) for v in residues for c in v)
+    flat = list(takewhile(lambda f: f is not None, fracs))
+    if len(flat) < len(residues) * len(residues[0]):
+        return None
+    return [flat[i: i + len(residues[0])] for i in range(0, len(flat), len(residues[0]))]
 
 
-def _agrees(vectors, basis, p):
-    for fracs, v in zip(vectors, basis):
-        for (a, b), c in zip(fracs, v):
-            if b % p == 0 or (a - c * b) % p:
-                return False
-    return True
+def _agrees(vectors, rows, p):
+    return all(b % p and (a - c * b) % p == 0
+               for fracs, v in zip(vectors, rows) for (a, b), c in zip(fracs, v))
 
 
 def _primitive(fracs):
@@ -158,41 +158,56 @@ def _primitive(fracs):
     return [v // g for v in ints]
 
 
+def integer_rows(solve, bound=2**31):
+    """(signature, primitive integer rows) from reductions mod primes.
+
+    `solve(p)` returns (signature, rows in `echelon` form), or None, which
+    must prove there are no rows over Q; then the result is (None, []). The caller shows that no signature
+    exceeds the rational one S, and that all but finitely many primes are
+    lucky: they give S and the rational echelon rows B mod p. A better
+    signature restarts the combination and a worse one is skipped, so from
+    the first lucky prime on only lucky ones combine. By Cramer's rule B's
+    entries are ratios of minors, at most Hadamard's bound H; once the
+    lucky primes' product m exceeds 2H^2, isqrt(m // 2) >= H, so every entry
+    reconstructs and the next lucky prime confirms it. The primes below 2^b
+    run out only for H of about b * pi(2^b) / 2 bits, 10^7 at b = 25.
+    """
+    best = None
+    for p in primes_below(bound):
+        found = solve(p)
+        if found is None:
+            return None, []
+        signature, rows = found[0], found[1].tolist()
+        if best is None or signature > best:
+            best, residues, modulus, vectors = signature, rows, p, None
+            continue
+        if signature != best:
+            continue
+        if vectors is not None and _agrees(vectors, rows, p):
+            return best, [_primitive(v) for v in vectors]
+        residues = [[_crt(a, modulus, b, p) for a, b in zip(u, v)]
+                    for u, v in zip(residues, rows)]
+        modulus *= p
+        vectors = _reconstruct(residues, modulus)
+
+
 def integer_kernel(build):
     """Candidate kernel basis of an integer matrix, as primitive integer vectors.
 
-    `build(p)` returns the matrix reduced mod p: rows of residues, as nested
-    lists or a 2-D integer array. An empty result means that some reduction
-    had full column rank, which proves the kernel zero.
-
-    The primes come from `primes_below(2**31)`, uncapped, and the loop ends.
-    Let the matrix have rank k over Q and RREF pivots P, and fix a nonzero
-    k-by-k minor D on P. Call p lucky when its reduction has rank k and
-    pivots P; every p not dividing D is, as P stays independent and each
-    other column a combination of the pivots before it. Mod p the rank can
-    only fall and the pivots only move right, so no reduction beats a lucky
-    one; as a better one restarts the combination and a worse one is
-    skipped, from the first lucky prime on only lucky ones combine, with the
-    residues of the rational kernel basis. By Cramer's rule its entries are
-    ratios of k-by-k minors, at most Hadamard's bound H (the product of the
-    columns' norms, each at least 1). Once the lucky primes' product m
-    exceeds 2H^2, isqrt(m // 2) >= H, so every entry reconstructs exactly and
-    the next lucky prime confirms it; the primes below 2^31 run out only for
-    H of 10^9 bits.
+    `build(p)` returns the matrix mod p, as nested lists or a 2-D array. Its
+    kernel is the relations of degree 0 among its columns read as series.
+    [] means some reduction had full column rank, which proves the kernel
+    zero. Mod p the kernel can only grow, and at the rational dimension k it
+    is the integer kernel L mod p, whose pivots can only fall (`echelon`).
+    So (-k, pivots) ranks no reduction above the rational one, and every p
+    dividing neither a nonzero minor of the matrix's rank nor L's minor on
+    its pivots is lucky, as `integer_rows` requires.
     """
-    best = None
-    for p in primes_below(2**31):
-        pivots, basis = _mod_rref_kernel(build(p), p)
-        if not basis:
-            return []
-        if best is None or (-len(pivots), pivots) < (-len(best), best):
-            best, residues, modulus, vectors = pivots, basis, p, None
-            continue
-        if pivots != best:
-            continue
-        if vectors is not None and _agrees(vectors, basis, p):
-            return [_primitive(v) for v in vectors]
-        residues = [[_crt(a, modulus, b, p) for a, b in zip(u, v)]
-                    for u, v in zip(residues, basis)]
-        modulus *= p
-        vectors = _reconstruct(residues, modulus)
+    def solve(p):
+        basis, degrees = order_basis(np.asarray(build(p), dtype=np.int64).T, p)
+        if degrees.min() > 0:
+            return None
+        pivots, rows = echelon(basis[degrees == 0, :, 0], p)
+        return (-len(pivots), pivots), rows
+
+    return integer_rows(solve)[1]

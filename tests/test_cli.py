@@ -29,8 +29,10 @@ from avoidwords.guessing import (
     LinearRecurrence,
     NonIntegralExtensionError,
     SingularRecurrenceError,
+    terms_needed,
 )
 from avoidwords.polynomials import MultivariatePolynomial
+from avoidwords.scheme import word_counts
 
 
 def run(capsys, *argv):
@@ -328,6 +330,36 @@ def test_guess_algebraic_cli(capsys, tmp_path, monkeypatch):
     )
     assert code == EXIT_OK
     assert "reference match: equal" in out
+
+
+def test_guess_r6_reports_the_least_order(capsys, tmp_path, monkeypatch):
+    # within degree 20 the least order is 4, at degree 18; the least
+    # order + degree, (6, 10), is no longer the answer
+    monkeypatch.setenv("AVOIDWORDS_CACHE_DIR", str(tmp_path))
+    code, out, _ = run(capsys, "guess", "--r", "6", "--max-order", "6", "--max-degree", "20",
+                       "--format", "json")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    rec = LinearRecurrence.from_json(doc["result"]["recurrence"])
+    assert (rec.order, max(len(p) for p in rec.coeffs) - 1) == (4, 18)
+    terms = doc["parameters"]["terms"]
+    assert terms == terms_needed(6, 22) and rec.verify(word_counts(6, terms - 1))
+
+
+@pytest.mark.parametrize("argv,need", [
+    (("--max-order", "2", "--max-degree", "3"), terms_needed(2, 5)),
+    (("--algebraic", "--max-deg-x", "2", "--max-deg-f", "4"), terms_needed(2, 5)),
+])
+def test_guess_default_terms_suffice_and_one_fewer_exits_4(capsys, tmp_path, monkeypatch,
+                                                            argv, need):
+    monkeypatch.setenv("AVOIDWORDS_CACHE_DIR", str(tmp_path))
+    code, _, err = run(capsys, "guess", "--r", "2", *argv)
+    assert code == EXIT_OK and err == ""
+    code, _, _ = run(capsys, "guess", "--r", "2", *argv, "--terms", str(need))
+    assert code == EXIT_OK
+    code, out, err = run(capsys, "guess", "--r", "2", *argv, "--terms", str(need - 1))
+    assert code == EXIT_INSUFFICIENT and out == ""
+    assert err == f"error: {need - 1} terms supplied; bounds require at least {need}\n"
 
 
 def test_asympt_r1(capsys, tmp_path):

@@ -1,7 +1,6 @@
 from decimal import Decimal, localcontext
 from itertools import chain
 
-import numpy as np
 import pytest
 
 from avoidwords import linalg
@@ -13,8 +12,9 @@ from avoidwords.guessing import (
     LinearRecurrence,
     NonIntegralExtensionError,
     SingularRecurrenceError,
-    _algebraic_matrix,
-    _recurrence_matrix,
+    _power_columns,
+    _prime_bound,
+    _recurrence_columns,
     guess_algebraic,
     guess_recurrence,
 )
@@ -55,27 +55,23 @@ def test_unlucky_first_prime_is_replaced(monkeypatch, small):
     assert rec is not None and rec.coeffs == reference_recurrence(2).coeffs
 
 
-def test_modular_matrices_match_exact_rows():
-    # the numpy builders against the integer matrices they reduce, at the
-    # largest prime, where int64 products come closest to overflow
-    p = next(linalg.primes_below(2**31))
-    terms = word_counts(5, 40)
-    order, degree, rows = 4, 6, 30
-    exact = [[n**j * terms[n + k] for k in range(order + 1) for j in range(degree + 1)]
-             for n in range(rows)]
-    built = _recurrence_matrix(terms, order, degree, rows, p)
-    assert built.tolist() == [[c % p for c in row] for row in exact]
+def test_modular_columns_match_exact_series():
+    # the numpy columns against the integer series they reduce, at the largest
+    # prime a 127-coefficient search uses: L * (p-1)^2 is then above 2^62.98
+    terms = word_counts(4, 126)
+    p = next(linalg.primes_below(_prime_bound(len(terms))))
+    assert 2**62.98 < len(terms) * (p - 1) ** 2 < 2**63
+    degree = 6
+    exact = [[1] + [0] * (len(terms) - 1)]
+    exact += [[n**j * t for n, t in enumerate(terms)] for j in range(degree + 1)]
+    built = _recurrence_columns(terms, degree, p)
+    assert built.tolist() == [[c % p for c in col] for col in exact]
 
-    series = word_counts(4, 40)
-    powers = [[1] + [0] * (len(series) - 1)]
+    powers = [[1] + [0] * (len(terms) - 1)]
     for _ in range(5):
-        powers.append(series_mul(powers[-1], series))
-    dx, df = 3, 5
-    exact = [[powers[b][i - a] if i >= a else 0
-              for b in range(df + 1) for a in range(dx + 1)] for i in range(rows)]
-    residues = np.array([[c % p for c in s] for s in powers], dtype=np.int64)
-    built = _algebraic_matrix(residues, dx, df, rows)
-    assert built.tolist() == [[c % p for c in row] for row in exact]
+        powers.append(series_mul(powers[-1], terms))
+    built = _power_columns(terms, 5, p)
+    assert built.tolist() == [[c % p for c in s] for s in powers]
 
 
 def test_recurrence_past_64_primes_is_found():
@@ -93,6 +89,13 @@ def test_search_is_minimal_in_order_plus_degree():
     # generous bounds must not change the result
     rec = guess_recurrence(word_counts(1, 60), 3, 4)
     assert rec.coeffs == ((-2, -4), (2, 1))
+
+
+def test_least_order_comes_before_least_order_plus_degree():
+    # (4, 6) has the least order + degree, but order 3 fits at degree 9
+    rec = guess_recurrence(word_counts(4, 67), 4, 9)
+    assert (rec.order, max(len(p) for p in rec.coeffs) - 1) == (3, 9)
+    assert rec.verify(word_counts(4, 120))
 
 
 def test_insufficient_terms_rejected():
