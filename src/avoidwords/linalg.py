@@ -162,15 +162,16 @@ def integer_rows(solve, bound=2**31):
     """(signature, primitive integer rows) from reductions mod primes.
 
     `solve(p)` returns (signature, rows in `echelon` form), or None, which
-    must prove there are no rows over Q; then the result is (None, []). The caller shows that no signature
-    exceeds the rational one S, and that all but finitely many primes are
-    lucky: they give S and the rational echelon rows B mod p. A better
-    signature restarts the combination and a worse one is skipped, so from
-    the first lucky prime on only lucky ones combine. By Cramer's rule B's
-    entries are ratios of minors, at most Hadamard's bound H; once the
-    lucky primes' product m exceeds 2H^2, isqrt(m // 2) >= H, so every entry
-    reconstructs and the next lucky prime confirms it. The primes below 2^b
-    run out only for H of about b * pi(2^b) / 2 bits, 10^7 at b = 25.
+    must prove there are no rows over Q; then the result is (None, []). The
+    caller shows that no signature exceeds the rational one S, and that all
+    but finitely many primes are lucky: they give S and the rational echelon
+    rows B mod p. A better signature restarts the combination and a worse
+    one is skipped, so from the first lucky prime on only lucky ones
+    combine. By Cramer's rule B's entries are ratios of minors, at most
+    Hadamard's bound H; once the lucky primes' product m exceeds 2H^2,
+    isqrt(m // 2) >= H, so every entry reconstructs and the next lucky
+    prime confirms it. The primes below 2^b run out only for H of about
+    b * pi(2^b) / 2 bits, 10^7 at b = 25.
     """
     best = None
     for p in primes_below(bound):

@@ -17,7 +17,7 @@ from avoidwords.guessing import (
 )
 from avoidwords.linalg import echelon, integer_kernel, order_basis
 from avoidwords.scheme import word_counts
-from order_basis_oracle import box_matrix, least_box
+from order_basis_oracle import _mod_rref_kernel, box_matrix, least_box
 
 P = 2**31 - 1
 
@@ -30,18 +30,12 @@ def _check_basis(columns, p, shift):
     for row, degree in zip(basis.tolist(), degrees):
         assert all(sum(q[t] * f[i - t] for q, f in zip(row, columns) for t in range(i + 1)) % p == 0
                    for i in range(length))
-        used = [max(np.flatnonzero(q), default=-10**9) + s for q, s in zip(np.array(row), shift)]
-        assert max(used) == degree
+        assert max(len(np.trim_zeros(q, "b")) - 1 + s for q, s in zip(row, shift) if any(q)) == degree
     for order in range(max(degrees) + 2):
         matrix, unknowns = box_matrix(columns, p, shift, order, m)
         predicted = sum(max(0, order - d + 1) for d in degrees)
-        found = len(linalg_oracle_kernel(matrix, p)) if unknowns else 0
+        found = len(_mod_rref_kernel(matrix, p)[1]) if unknowns else 0
         assert found == predicted, (order, list(degrees))
-
-
-def linalg_oracle_kernel(matrix, p):
-    from order_basis_oracle import _mod_rref_kernel
-    return _mod_rref_kernel(matrix, p)[1]
 
 
 def _check_least(columns, p, shift, max_order, skip=0):
